@@ -5,7 +5,9 @@ Subcommands: ``gen`` (seeded instances), ``solve`` (approximate or exact),
 (reduction artifacts), ``verify`` / ``roundtrip`` (the property harness), and
 ``bench`` (timing).  The exit code is 0 iff no assertion failed; verification
 errors on individual instances (infeasible input, oracle guard) are reported
-but do not fail the run.
+but do not fail the run.  Malformed input (``InputError``) and unsatisfiable
+generator shapes (``GenerationError``) end the run with a one-line message on
+stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -17,15 +19,19 @@ import time
 from pathlib import Path
 
 from . import exact, reductions, serialize, treecover, verify
-from .generate import GEN_KINDS, GenSpec, SplitMix64
+from .generate import GEN_KINDS, GenerationError, GenSpec, SplitMix64
 from .generate import generate as generate_instance
-from .model import CtInstance, DkshInstance, RcpInstance
+from .model import CtInstance, DkshInstance, InputError, RcpInstance
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (InputError, GenerationError) as exc:
+        print(f"pocover: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

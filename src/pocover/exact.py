@@ -5,12 +5,15 @@ reduction gadgets are checked, so they favor transparent exhaustive search
 over cleverness.  Every solver carries an explicit size guard and raises
 rather than silently degrading.
 
-The profit-maximization solver picks one of three exhaustive strategies based
-on the shape of the strongly-connected-component condensation: plain
-enumeration of closed component subsets when there are few components, and two
-layered enumerations for the gadget graphs produced by the reductions in this
-package (many interchangeable source components feeding singleton sinks).  All
-three are exact on their respective shapes.
+The profit-maximization solver works on the strongly-connected-component
+condensation and has three exhaustive walks: closed component subsets (2^c
+masks for c components), and, when the condensation is two-layered (source
+components feeding singleton sinks, the shape of the reduction gadgets in this
+package), sink subsets (2^|sinks|, only when no source carries profit) or
+source subsets (2^|sources|).  The walk with the fewest masks runs, up to a
+ceiling of 2^20 masks.  The answer does not depend on which one: every walk
+returns the maximum profit and, among the closed sets within the budget that
+reach it, the one with the lexicographically smallest sorted vertex tuple.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from .treecover import InfeasibleInstance
 
 CONFIG_ENUM_MAX_VERTICES = 20
 EXACT_CT_MAX_VERTICES = 18
-RCP_MAX_COMPONENTS = 20
-RCP_MAX_LAYER = 20
+RCP_MAX_MASK_BITS = 20
 DKSH_MAX_COMBINATIONS = 10**7
 
 
@@ -163,8 +165,13 @@ def exact_ct(instance: CtInstance) -> Cover:
 def exact_rcp(instance: RcpInstance) -> tuple[frozenset[int], int]:
     """A profit-maximal predecessor-closed set of bounded cardinality.
 
-    Exhaustive over closed sets; ties go to the lexicographically smallest
-    vertex tuple among the candidates the active strategy enumerates.
+    Exhaustive over closed sets.  The walks are component subsets, and, on a
+    two-layered condensation, sink subsets (only when no source carries
+    profit) and source subsets.  The one with the fewest masks runs, and
+    ``SizeGuardError`` is raised when even that one needs more than 2^20.
+    The result does not depend on that choice: ties go to the
+    lexicographically smallest sorted vertex tuple among all closed sets
+    within the budget.
     """
     comps, comp_of = _scc(instance.graph)
     c = len(comps)
@@ -177,32 +184,24 @@ def exact_rcp(instance: RcpInstance) -> tuple[frozenset[int], int]:
             succ_comps[cu].add(cv)
     comp_size = [len(g) for g in comps]
     comp_profit = [sum(instance.profit[v] for v in g) for g in comps]
-
-    if c <= RCP_MAX_COMPONENTS:
-        return _rcp_component_subsets(
-            instance, comps, pred_comps, comp_size, comp_profit
-        )
-
     sources = [i for i in range(c) if not pred_comps[i]]
     sinks = [i for i in range(c) if pred_comps[i] and not succ_comps[i]]
     layered = len(sources) + len(sinks) == c and all(
         comp_size[i] == 1 for i in sinks
     )
+
+    # (bits enumerated, walk); min() keeps the first of equal-cost walks.
+    walks = [(c, _rcp_component_subsets)]
     if layered:
-        if (
-            all(comp_profit[i] == 0 for i in sources)
-            and len(sinks) <= RCP_MAX_LAYER
-        ):
-            return _rcp_sink_subsets(
-                instance, comps, pred_comps, comp_size, comp_profit, sources, sinks
-            )
-        if len(sources) <= RCP_MAX_LAYER:
-            return _rcp_source_subsets(
-                instance, comps, pred_comps, comp_size, comp_profit, sources, sinks
-            )
-    raise SizeGuardError(
-        f"graph with {c} strongly connected components is beyond the exact solver"
-    )
+        if all(comp_profit[i] == 0 for i in sources):
+            walks.append((len(sinks), _rcp_sink_subsets))
+        walks.append((len(sources), _rcp_source_subsets))
+    bits, walk = min(walks, key=lambda w: w[0])
+    if bits > RCP_MAX_MASK_BITS:
+        raise SizeGuardError(
+            f"graph with {c} strongly connected components is beyond the exact solver"
+        )
+    return walk(instance, comps, pred_comps, comp_size, comp_profit, sources, sinks)
 
 
 def exact_dksh(instance: DkshInstance) -> tuple[frozenset[int], int]:
@@ -373,27 +372,20 @@ def _scc(graph: Digraph) -> tuple[list[tuple[int, ...]], list[int]]:
     return comps, comp_of
 
 
-def _better(
-    candidate: tuple[int, tuple[int, ...]],
-    best: Optional[tuple[int, tuple[int, ...]]],
-) -> bool:
-    if best is None:
-        return True
-    if candidate[0] != best[0]:
-        return candidate[0] > best[0]
-    return candidate[1] < best[1]
-
-
 def _rcp_component_subsets(
     instance: RcpInstance,
     comps: list[tuple[int, ...]],
     pred_comps: list[set[int]],
     comp_size: list[int],
     comp_profit: list[int],
+    sources: list[int],
+    sinks: list[int],
 ) -> tuple[frozenset[int], int]:
+    """Every closed component subset, so the canonical optimum is among them."""
     c = len(comps)
     pred_masks = [_mask(p) for p in pred_comps]
-    best: Optional[tuple[int, tuple[int, ...]]] = None
+    best_profit = -1
+    best_vertices: tuple[int, ...] = ()
     for mask in range(1 << c):
         size = 0
         profit = 0
@@ -408,15 +400,14 @@ def _rcp_component_subsets(
             size += comp_size[i]
             profit += comp_profit[i]
             m &= m - 1
-        if not closed or size > instance.budget:
+        if not closed or size > instance.budget or profit < best_profit:
             continue
         vertices = tuple(
             sorted(v for i in range(c) if mask >> i & 1 for v in comps[i])
         )
-        if _better((profit, vertices), best):
-            best = (profit, vertices)
-    assert best is not None
-    return frozenset(best[1]), best[0]
+        if profit > best_profit or vertices < best_vertices:
+            best_profit, best_vertices = profit, vertices
+    return frozenset(best_vertices), best_profit
 
 
 def _rcp_sink_subsets(
@@ -428,12 +419,21 @@ def _rcp_sink_subsets(
     sources: list[int],
     sinks: list[int],
 ) -> tuple[frozenset[int], int]:
-    """Sources carry no profit, so an optimum is the closure of its sinks."""
+    """Sources carry no profit, so an optimum is the closure of its sinks.
+
+    Every closed set is the closure of its sinks plus some unused sources.
+    Adding a component whose smallest member is below the set's maximum makes
+    the sorted tuple smaller, and adding one above it makes it larger, so the
+    smallest padding of a closure takes unused sources in ascending order of
+    smallest member, skipping those that do not fit, until one starts above
+    the maximum.
+    """
     source_index = {s: i for i, s in enumerate(sources)}
     sink_pred_masks = [
         _mask(source_index[p] for p in pred_comps[s]) for s in sinks
     ]
-    best: Optional[tuple[int, tuple[int, ...]]] = None
+    best_profit = -1
+    best_vertices: tuple[int, ...] = ()
     for mask in range(1 << len(sinks)):
         need = 0
         profit = 0
@@ -443,6 +443,8 @@ def _rcp_sink_subsets(
                 need |= sink_pred_masks[j]
                 profit += comp_profit[sinks[j]]
                 card += 1
+        if profit < best_profit:
+            continue
         m = need
         while m:
             low = m & -m
@@ -450,21 +452,24 @@ def _rcp_sink_subsets(
             m &= m - 1
         if card > instance.budget:
             continue
-        vertices = tuple(
-            sorted(
-                [v for j in range(len(sinks)) if mask >> j & 1 for v in comps[sinks[j]]]
-                + [
-                    v
-                    for i in range(len(sources))
-                    if need >> i & 1
-                    for v in comps[sources[i]]
-                ]
-            )
-        )
-        if _better((profit, vertices), best):
-            best = (profit, vertices)
-    assert best is not None
-    return frozenset(best[1]), best[0]
+        members = [comps[sinks[j]][0] for j in range(len(sinks)) if mask >> j & 1]
+        for i in range(len(sources)):
+            if need >> i & 1:
+                members.extend(comps[sources[i]])
+        top = max(members, default=-1)
+        room = instance.budget - card
+        for i in range(len(sources)):
+            group = comps[sources[i]]
+            if room < 1 or group[0] > top:
+                break
+            if not need >> i & 1 and len(group) <= room:
+                members.extend(group)
+                room -= len(group)
+                top = max(top, group[-1])
+        vertices = tuple(sorted(members))
+        if profit > best_profit or vertices < best_vertices:
+            best_profit, best_vertices = profit, vertices
+    return frozenset(best_vertices), best_profit
 
 
 def _rcp_source_subsets(
@@ -477,15 +482,26 @@ def _rcp_source_subsets(
     sinks: list[int],
 ) -> tuple[frozenset[int], int]:
     """With singleton sinks, the best sinks for a fixed source choice are the
-    top-profit enabled ones, so only source subsets need enumerating."""
+    top-profit enabled ones, so only source subsets need enumerating.
+
+    Equal-profit sinks are taken smallest first, and the room left is padded
+    with enabled zero-profit sinks below the set's maximum, smallest first:
+    the smallest sorted tuple among that source choice's optima.
+    """
     source_index = {s: i for i, s in enumerate(sources)}
-    sink_order = sorted(
-        range(len(sinks)), key=lambda j: (-comp_profit[sinks[j]], j)
+    # (profit, enabling source mask, vertex) per sink, sorted so that paying
+    # sinks come by falling profit, then ascending vertex.
+    ranked = sorted(
+        (
+            (comp_profit[s], _mask(source_index[p] for p in pred_comps[s]), comps[s][0])
+            for s in sinks
+        ),
+        key=lambda t: (-t[0], t[2]),
     )
-    sink_pred_masks = [
-        _mask(source_index[p] for p in pred_comps[s]) for s in sinks
-    ]
-    best: Optional[tuple[int, tuple[int, ...]]] = None
+    paying = [t for t in ranked if t[0] > 0]
+    free = sorted((v, need) for p, need, v in ranked if p == 0)
+    best_profit = -1
+    best_vertices: tuple[int, ...] = ()
     for mask in range(1 << len(sources)):
         size = 0
         profit = 0
@@ -500,27 +516,26 @@ def _rcp_source_subsets(
             continue
         room = instance.budget - size
         taken: list[int] = []
-        for j in sink_order:
-            if room == 0:
+        for p, need, v in paying:
+            if room < 1:
                 break
-            if comp_profit[sinks[j]] == 0:
-                break
-            if sink_pred_masks[j] & ~mask == 0:
-                taken.append(j)
-                profit += comp_profit[sinks[j]]
+            if need & ~mask == 0:
+                taken.append(v)
+                profit += p
                 room -= 1
-        vertices = tuple(
-            sorted(
-                [
-                    v
-                    for i in range(len(sources))
-                    if mask >> i & 1
-                    for v in comps[sources[i]]
-                ]
-                + [v for j in taken for v in comps[sinks[j]]]
-            )
-        )
-        if _better((profit, vertices), best):
-            best = (profit, vertices)
-    assert best is not None
-    return frozenset(best[1]), best[0]
+        if profit < best_profit:
+            continue
+        members = [
+            v for i in range(len(sources)) if mask >> i & 1 for v in comps[sources[i]]
+        ] + taken
+        top = max(members, default=-1)
+        for v, need in free:
+            if room < 1 or v > top:
+                break
+            if need & ~mask == 0:
+                members.append(v)
+                room -= 1
+        vertices = tuple(sorted(members))
+        if profit > best_profit or vertices < best_vertices:
+            best_profit, best_vertices = profit, vertices
+    return frozenset(best_vertices), best_profit

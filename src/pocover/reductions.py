@@ -75,9 +75,9 @@ def bpcc_to_ct(bpcc: BpccInstance) -> ReductionArtifact:
     m = len(bpcc.clusters)
     parent: list[Optional[int]] = [None] + [0] * m
     size = [0] + [2 * k] * m
-    for v in range(bpcc.item_count):
-        parent.append(1 + bpcc.cluster_of(v))
-        size.append(bpcc.weight[v])
+    cluster_of = {v: i for i, group in enumerate(bpcc.clusters) for v in group}
+    parent += [1 + cluster_of[v] for v in range(bpcc.item_count)]
+    size += bpcc.weight
     target = CtInstance(SizedOutTree(parent, size), 3 * k)
     params = {"m": m, "K": 3 * k}
     assert params["K"] == 3 * k

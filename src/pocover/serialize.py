@@ -94,7 +94,15 @@ def dumps_instance(instance: Instance) -> str:
 
 
 def loads_instance(text: str) -> Instance:
-    return doc_to_instance(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(
+            f"instance document must be a JSON object, not {type(doc).__name__}"
+        )
+    return doc_to_instance(doc)
 
 
 def fingerprint(instance: Instance) -> str:

@@ -77,6 +77,41 @@ def test_solve_rcp_file(tmp_path, capsys):
     assert doc["solution"] == [0, 3]
 
 
+def test_solve_non_object_document_exits_two(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "JSON object" in err
+
+
+def test_solve_invalid_budget_exits_two(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(
+        json.dumps(
+            {
+                "format_version": 1,
+                "kind": "rcp",
+                "n": 1,
+                "edges": [],
+                "profit": [1],
+                "k": 0,
+            }
+        )
+    )
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 2
+    assert err.count("\n") == 1 and "budget must be at least 1" in err
+
+
+def test_gen_invalid_size_exits_two(capsys):
+    code, out, err = run(capsys, "gen", "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "n must be at least 1" in err
+
+
 def test_bounds_command(tmp_path, capsys):
     path = tmp_path / "t.json"
     run(capsys, "gen", "--kind", "bp_star", "--n", "3", "--k", "6",

@@ -207,8 +207,8 @@ def test_exact_rcp_matches_subset_enumeration(data):
 
 
 def run_layer_strategy(instance, which):
-    """Drive one of the layered strategies directly so it can be compared
-    against plain component enumeration on the same instance."""
+    """Drive one of the walks directly, whatever ``exact_rcp`` would pick,
+    so each can be compared against the others and the reference."""
     from pocover import exact
 
     comps, comp_of = exact._scc(instance.graph)
@@ -223,15 +223,12 @@ def run_layer_strategy(instance, which):
     sources = [i for i in range(len(comps)) if not pred[i]]
     sinks = [i for i in range(len(comps)) if pred[i] and not succ[i]]
     assert len(sources) + len(sinks) == len(comps)
-    if which == "components":
-        return exact._rcp_component_subsets(instance, comps, pred, sizes, profits)
-    if which == "sinks":
-        return exact._rcp_sink_subsets(
-            instance, comps, pred, sizes, profits, sources, sinks
-        )
-    return exact._rcp_source_subsets(
-        instance, comps, pred, sizes, profits, sources, sinks
-    )
+    walk = {
+        "components": exact._rcp_component_subsets,
+        "sinks": exact._rcp_sink_subsets,
+        "sources": exact._rcp_source_subsets,
+    }[which]
+    return walk(instance, comps, pred, sizes, profits, sources, sinks)
 
 
 def test_layered_solvers_agree_with_component_path():
@@ -243,18 +240,82 @@ def test_layered_solvers_agree_with_component_path():
         h = DkshInstance(3, [[0, 1], [1, 2]], [4, 2], budget)
         reduced = dksh_to_rcp(h).target
         assert (
-            run_layer_strategy(reduced, "sinks")[1]
-            == run_layer_strategy(reduced, "components")[1]
-            == exact_rcp(reduced)[1]
+            run_layer_strategy(reduced, "sinks")
+            == run_layer_strategy(reduced, "components")
+            == exact_rcp(reduced)
         )
 
     for m in (1, 2):
         art = dks_to_urcp(Digraph(3, [(0, 1), (1, 2)]), 2, m)
         assert (
-            run_layer_strategy(art.target, "sources")[1]
-            == run_layer_strategy(art.target, "components")[1]
-            == exact_rcp(art.target)[1]
+            run_layer_strategy(art.target, "sources")
+            == run_layer_strategy(art.target, "components")
+            == exact_rcp(art.target)
         )
+
+
+def draw_two_layer(data, source_sizes, source_profit):
+    """A random two-layer graph: source components with sizes drawn by
+    ``source_sizes`` (a cycle each, profit drawn per vertex by
+    ``source_profit``), then singleton sinks, each fed by a nonempty set of
+    sources; vertex ids are shuffled."""
+    source_sizes = data.draw(source_sizes)
+    sink_count = data.draw(st.integers(0, 4))
+    n = sum(source_sizes) + sink_count
+    label = data.draw(st.permutations(range(n)))
+    profit = [0] * n
+    edges = []
+    groups = []
+    next_id = 0
+    for size in source_sizes:
+        group = [label[next_id + i] for i in range(size)]
+        next_id += size
+        groups.append(group)
+        for v in group:
+            profit[v] = data.draw(source_profit)
+        if size > 1:
+            edges += [(group[i], group[(i + 1) % size]) for i in range(size)]
+    for _ in range(sink_count):
+        sink = label[next_id]
+        next_id += 1
+        profit[sink] = data.draw(st.integers(0, 4))
+        feeders = data.draw(
+            st.sets(st.integers(0, len(groups) - 1), min_size=1)
+        )
+        edges += [(data.draw(st.sampled_from(groups[g])), sink) for g in feeders]
+    return RcpInstance(Digraph(n, edges), profit, data.draw(st.integers(1, n)))
+
+
+# The sink walk needs zero-profit sources; the source walk is drawn with one-
+# to three-vertex source cycles that carry profit.  Each walk is also run
+# directly, whatever exact_rcp picks.
+@pytest.mark.parametrize(
+    "walk, sizes, profit",
+    [
+        ("sinks", st.lists(st.integers(1, 2), min_size=1, max_size=5), st.just(0)),
+        (
+            "sources",
+            st.lists(st.integers(1, 3), min_size=1, max_size=3),
+            st.integers(0, 3),
+        ),
+    ],
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_layered_walk_matches_subset_enumeration(walk, sizes, profit, data):
+    inst = draw_two_layer(data, sizes, profit)
+    expected_set, expected_profit = reference_rcp(inst)
+    for got_set, got_profit in (exact_rcp(inst), run_layer_strategy(inst, walk)):
+        assert (tuple(sorted(got_set)), got_profit) == (expected_set, expected_profit)
+
+
+def test_sink_walk_padding_follows_the_growing_maximum():
+    # The closure of sink 2 is {1, 2}.  Padding with the cycle {0, 4} raises
+    # the maximum to 4, which makes the later source {3} worth adding too.
+    inst = RcpInstance(Digraph(5, [(0, 4), (4, 0), (1, 2)]), [0, 0, 1, 0, 0], 5)
+    assert reference_rcp(inst) == ((0, 1, 2, 3, 4), 1)
+    expected = (frozenset(range(5)), 1)
+    assert exact_rcp(inst) == run_layer_strategy(inst, "sinks") == expected
 
 
 def test_exact_rcp_guard():
@@ -267,6 +328,13 @@ def test_exact_rcp_guard():
     g = Digraph(50, edges)
     with pytest.raises(SizeGuardError):
         exact_rcp(RcpInstance(g, [1] * 50, 3))
+
+
+def test_exact_rcp_guard_on_wide_two_layer_graph():
+    # 42 components, 21 on each layer: every walk is over the mask ceiling.
+    g = Digraph(42, [(i, 21 + i) for i in range(21)])
+    with pytest.raises(SizeGuardError):
+        exact_rcp(RcpInstance(g, [0] * 21 + [1] * 21, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,14 @@ def test_doc_validation_errors():
         doc_to_instance({"format_version": 1, "kind": "rcp", "n": 2})
 
 
+def test_loads_rejects_bad_json_and_non_objects():
+    with pytest.raises(InputError, match="invalid JSON"):
+        loads_instance('{"format_version": 1,')
+    for text in ("[1, 2]", "3", '"ct"', "null"):
+        with pytest.raises(InputError, match="JSON object"):
+            loads_instance(text)
+
+
 def test_fingerprint_stability():
     a = generate(GenSpec(kind="digraph", n=6, k=3, seed=9))
     b = generate(GenSpec(kind="digraph", n=6, k=3, seed=9))
