@@ -6,139 +6,25 @@ per-instance bounds and audit traces, exact reference solvers for the four
 related selection/packing problems, constructive reductions between them with
 bidirectional solution maps, seeded instance generators, and a verification
 harness wired into a CLI.
+
+The package root exports the tree-covering entry points below; everything
+else is imported from its submodule (``pocover.reductions``,
+``pocover.serialize``, ...).
 """
 
-from .model import (
-    BpccInstance,
-    Configuration,
-    Cover,
-    CtInstance,
-    Digraph,
-    DkshInstance,
-    InputError,
-    RcpInstance,
-    SizedOutTree,
-    closure,
-    contained_hyperedges,
-    is_closed,
-    path_weight,
-    validate_configuration,
-    validate_cover,
-)
-from .treecover import (
-    AnchorRecord,
-    Bounds,
-    CoverResult,
-    InfeasibleInstance,
-    NextFitResult,
-    PreprocessResult,
-    RunTrace,
-    anchor_step,
-    bounds,
-    cover,
-    next_fit,
-    preprocess,
-)
-from .exact import (
-    SizeGuardError,
-    enumerate_configurations,
-    exact_bpcc,
-    exact_ct,
-    exact_dksh,
-    exact_rcp,
-)
-from .reductions import (
-    PipelineResult,
-    ReductionArtifact,
-    augment_map,
-    bpcc_map,
-    bpcc_to_ct,
-    degree_augment,
-    dks_to_urcp,
-    dks_via_urcp,
-    dksh_rcp_map,
-    dksh_to_rcp,
-    minimalize,
-    rcp_to_dksh,
-)
-from .generate import GenerationError, GenSpec, SplitMix64, generate
-from .serialize import (
-    doc_to_instance,
-    dumps_instance,
-    emit_dot,
-    fingerprint,
-    instance_to_doc,
-    loads_instance,
-)
-from .verify import (
-    RoundtripReport,
-    VerifyReport,
-    run_roundtrip,
-    run_verify,
-    verify_ct,
-)
+from .model import CtInstance, InputError, SizedOutTree
+from .treecover import bounds, cover
+from .exact import exact_ct
+from .verify import verify_ct
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorRecord",
-    "Bounds",
-    "BpccInstance",
-    "Configuration",
-    "Cover",
-    "CoverResult",
     "CtInstance",
-    "Digraph",
-    "DkshInstance",
-    "GenSpec",
-    "GenerationError",
-    "InfeasibleInstance",
     "InputError",
-    "NextFitResult",
-    "PipelineResult",
-    "PreprocessResult",
-    "RcpInstance",
-    "ReductionArtifact",
-    "RoundtripReport",
-    "RunTrace",
-    "SizeGuardError",
     "SizedOutTree",
-    "SplitMix64",
-    "VerifyReport",
-    "anchor_step",
-    "augment_map",
     "bounds",
-    "bpcc_map",
-    "bpcc_to_ct",
-    "closure",
-    "contained_hyperedges",
     "cover",
-    "degree_augment",
-    "dks_to_urcp",
-    "dks_via_urcp",
-    "dksh_rcp_map",
-    "dksh_to_rcp",
-    "doc_to_instance",
-    "dumps_instance",
-    "emit_dot",
-    "enumerate_configurations",
-    "exact_bpcc",
     "exact_ct",
-    "exact_dksh",
-    "exact_rcp",
-    "fingerprint",
-    "generate",
-    "instance_to_doc",
-    "is_closed",
-    "loads_instance",
-    "minimalize",
-    "next_fit",
-    "path_weight",
-    "preprocess",
-    "rcp_to_dksh",
-    "run_roundtrip",
-    "run_verify",
-    "validate_configuration",
-    "validate_cover",
     "verify_ct",
 ]

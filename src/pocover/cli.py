@@ -7,7 +7,8 @@ Subcommands: ``gen`` (seeded instances), ``solve`` (approximate or exact),
 errors on individual instances (infeasible input, oracle guard) are reported
 but do not fail the run.  Malformed input (``InputError``) and unsatisfiable
 generator shapes (``GenerationError``) end the run with a one-line message on
-stderr and exit code 2.
+stderr and exit code 2.  JSON-line results go to stdout, or with ``--out`` to a
+file that each run rewrites.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import exact, reductions, serialize, treecover, verify
@@ -28,7 +30,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # ``bench`` has no --out, and gen's --out is stored as ``target``
+        with _jsonl_sink(getattr(args, "out", None)) as emit:
+            return args.handler(args, emit)
     except (InputError, GenerationError) as exc:
         print(f"pocover: error: {exc}", file=sys.stderr)
         return 2
@@ -47,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--k", type=int, default=8)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--count", type=int, default=1)
-    p_gen.add_argument("--out", type=Path, help="file (count=1) or directory")
+    p_gen.add_argument(
+        "--out", type=Path, dest="target", help="file (count=1) or directory"
+    )
     p_gen.add_argument("--shape", type=json.loads, default={}, help="JSON shape params")
     p_gen.add_argument("--emit-dot", type=Path, help="also write a DOT rendering")
     p_gen.set_defaults(handler=_cmd_gen)
@@ -104,16 +110,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(doc, out: Path | None) -> None:
-    text = json.dumps(doc, sort_keys=True)
+@contextmanager
+def _jsonl_sink(out: Path | None):
+    """Yield ``emit(doc)``, which writes ``doc`` as one JSON line to stdout,
+    or to ``out`` (truncated first) when given."""
     if out is None:
-        print(text)
+        yield lambda doc: print(json.dumps(doc, sort_keys=True))
     else:
-        with out.open("a") as fh:
-            fh.write(text + "\n")
+        with out.open("w") as fh:
+            yield lambda doc: print(json.dumps(doc, sort_keys=True), file=fh)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, emit) -> int:
     docs = []
     for i in range(args.count):
         spec = GenSpec(
@@ -123,26 +131,30 @@ def _cmd_gen(args) -> int:
         docs.append(serialize.instance_to_doc(instance))
         if args.emit_dot and i == 0:
             args.emit_dot.write_text(serialize.emit_dot(instance))
-    if args.out is None:
+    if args.target is None:
         for doc in docs:
-            print(json.dumps(doc, sort_keys=True))
+            emit(doc)
     elif args.count == 1:
-        args.out.write_text(json.dumps(docs[0], sort_keys=True, indent=1) + "\n")
+        args.target.write_text(json.dumps(docs[0], sort_keys=True, indent=1) + "\n")
     else:
-        args.out.mkdir(parents=True, exist_ok=True)
+        args.target.mkdir(parents=True, exist_ok=True)
         for i, doc in enumerate(docs):
-            path = args.out / f"{args.kind}_{args.seed + i}.json"
+            path = args.target / f"{args.kind}_{args.seed + i}.json"
             path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     return 0
 
 
-def _load(path: Path):
-    return serialize.loads_instance(path.read_text())
+def _load(path: Path, expected: type = object):
+    """Parse the instance file at ``path``; it must hold an ``expected``."""
+    instance = serialize.loads_instance(path.read_text())
+    if not isinstance(instance, expected):
+        raise InputError(
+            f"{path}: expected {expected.__name__}, found {type(instance).__name__}"
+        )
+    return instance
 
 
-def _cmd_solve(args) -> int:
-    if args.out is not None:
-        args.out.unlink(missing_ok=True)
+def _cmd_solve(args, emit) -> int:
     for i, path in enumerate(args.files):
         instance = _load(path)
         if args.emit_dot and i == 0:
@@ -164,7 +176,7 @@ def _cmd_solve(args) -> int:
                 )
         except (treecover.InfeasibleInstance, exact.SizeGuardError) as exc:
             doc["error"] = str(exc)
-        _emit(doc, args.out)
+        emit(doc)
     return 0
 
 
@@ -185,21 +197,16 @@ def _solve_ct(instance: CtInstance, mode: str) -> dict:
     }
 
 
-def _cmd_bounds(args) -> int:
-    if args.out is not None:
-        args.out.unlink(missing_ok=True)
+def _cmd_bounds(args, emit) -> int:
     for path in args.files:
-        instance = _load(path)
-        if not isinstance(instance, CtInstance):
-            print(f"{path}: bounds apply to tree covering instances only", file=sys.stderr)
-            return 2
+        instance = _load(path, CtInstance)
         try:
             result = treecover.cover(instance)
         except treecover.InfeasibleInstance as exc:
-            _emit({"file": str(path), "error": str(exc)}, args.out)
+            emit({"file": str(path), "error": str(exc)})
             continue
         b = treecover.bounds(result.trace, instance)
-        _emit(
+        emit(
             {
                 "file": str(path),
                 "lower": b.lower,
@@ -207,35 +214,27 @@ def _cmd_bounds(args) -> int:
                 "alpha": b.alpha,
                 "cardinality": len(result.cover),
                 "forced": len(result.trace.forced_prefix),
-            },
-            args.out,
+            }
         )
     return 0
 
 
-def _cmd_reduce(args) -> int:
-    if args.out is not None:
-        args.out.unlink(missing_ok=True)
+def _cmd_reduce(args, emit) -> int:
+    source_type, build = reductions.REDUCTIONS[args.kind]
     for i, path in enumerate(args.files):
-        instance = _load(path)
-        if args.kind == "bpcc_to_ct":
-            artifact = reductions.bpcc_to_ct(instance)
-        elif args.kind == "dksh_to_rcp":
-            artifact = reductions.dksh_to_rcp(instance)
-        elif args.kind == "rcp_to_dksh":
-            artifact = reductions.rcp_to_dksh(instance)
-        elif args.kind == "degree_augment":
-            artifact = reductions.degree_augment(instance)
-        else:
+        instance = _load(path, source_type)
+        if args.kind == "dks_to_urcp":
             k = args.k if args.k is not None else instance.budget
-            artifact = reductions.dks_to_urcp(instance.graph, k, args.m)
+            artifact = build(instance.graph, k, args.m)
+        else:
+            artifact = build(instance)
         doc = serialize.instance_to_doc(artifact.target)
         doc["reduction"] = artifact.kind
         doc["source_fingerprint"] = artifact.source_summary
         doc["parameters"] = artifact.parameters
         if args.emit_dot and i == 0:
             args.emit_dot.write_text(serialize.emit_dot(artifact.target))
-        _emit(doc, args.out)
+        emit(doc)
     return 0
 
 
@@ -248,32 +247,18 @@ def _verify_corpus(seed: int, count: int, n_max: int, k_max: int):
         yield generate_instance(spec)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, emit) -> int:
     if args.files:
-        instances = [_load(p) for p in args.files]
+        instances = [_load(p, CtInstance) for p in args.files]
     else:
         instances = list(
             _verify_corpus(args.seed, args.count, args.n_max, args.k_max)
         )
-    if args.out is not None:
-        args.out.unlink(missing_ok=True)
-    failures = 0
-    errors = 0
-    total = 0
-    for instance, report in zip(
-        instances, verify.run_verify(instances, with_exact=args.with_exact)
-    ):
-        total += 1
-        status = "pass"
-        if report.error is not None:
-            errors += 1
-            status = "error"
-        elif not report.passed:
-            failures += 1
-            status = "FAIL"
+    reports = verify.run_verify(instances, with_exact=args.with_exact)
+    lines = []
+    for instance, report in zip(instances, reports):
         line = {
             "instance": report.fingerprint,
-            "status": status,
             "alg": report.alg_cardinality,
             "exact": report.exact_cardinality,
             "lb": report.lower,
@@ -281,112 +266,62 @@ def _cmd_verify(args) -> int:
             "alpha": report.alpha,
             "ratio": report.ratio,
         }
-        if report.error is not None:
-            line["error"] = report.error
         if not report.passed:
-            # minimal reproduction: the failing checks plus the instance itself
-            line["failed"] = report.failed_checks()
+            # minimal reproduction: the instance itself; _report adds the failed checks
             line["repro"] = serialize.instance_to_doc(instance)
             line["seed"] = args.seed
-        _emit(line, args.out)
-    print(
-        f"verify: {total} instances, {failures} failures, {errors} errors",
-        file=sys.stderr,
+        lines.append((report, line))
+    return _report("verify", lines, emit)
+
+
+def _cmd_roundtrip(args, emit) -> int:
+    kinds = reductions.REDUCTION_KINDS if args.kind == "all" else (args.kind,)
+    lines = (
+        (report, {"kind": kind, "instance": report.fingerprint})
+        for kind in kinds
+        for report in verify.run_roundtrip(
+            kind, _roundtrip_corpus(kind, args.seed, args.count)
+        )
     )
-    return 1 if failures else 0
+    return _report("roundtrip", lines, emit)
 
 
-def _roundtrip_stream(kind: str, seed: int, count: int):
+def _roundtrip_corpus(kind: str, seed: int, count: int):
+    draw, _ = verify.ROUNDTRIPS[kind]
     rng = SplitMix64(seed)
     for i in range(count):
-        sub_seed = seed + 104729 * i
-        if kind == "bpcc_to_ct":
-            n = 1 + rng.randrange(8)
-            yield generate_instance(
-                GenSpec(
-                    kind="bpcc",
-                    n=n,
-                    k=1 + rng.randrange(6),
-                    seed=sub_seed,
-                    shape={"cluster_count": 1 + rng.randrange(min(n, 4))},
-                )
-            )
-        elif kind == "dksh_to_rcp":
-            n = 2 + rng.randrange(5)
-            yield generate_instance(
-                GenSpec(
-                    kind="hypergraph",
-                    n=n,
-                    k=1 + rng.randrange(n),
-                    seed=sub_seed,
-                    shape={"num_edges": 1 + rng.randrange(4)},
-                )
-            )
-        elif kind == "rcp_to_dksh":
-            yield generate_instance(
-                GenSpec(
-                    kind="digraph",
-                    n=2 + rng.randrange(7),
-                    k=1 + rng.randrange(5),
-                    seed=sub_seed,
-                )
-            )
-        elif kind == "degree_augment":
-            yield generate_instance(
-                GenSpec(
-                    kind="digraph",
-                    n=2 + rng.randrange(7),
-                    k=1 + rng.randrange(4),
-                    seed=sub_seed,
-                )
-            )
-        else:
-            instance = generate_instance(
-                GenSpec(
-                    kind="digraph",
-                    n=2 + rng.randrange(9),
-                    k=1,
-                    seed=sub_seed,
-                    shape={"edge_density": 0.4},
-                )
-            )
-            yield instance.graph, 2 + rng.randrange(4)
+        yield draw(rng, seed + 104729 * i)
 
 
-def _cmd_roundtrip(args) -> int:
-    kinds = (
-        list(reductions.REDUCTION_KINDS) if args.kind == "all" else [args.kind]
-    )
-    if args.out is not None:
-        args.out.unlink(missing_ok=True)
+def _report(command: str, lines, emit) -> int:
+    """Emit each (report, line) pair's line with its status and, where they
+    apply, the error and the failed checks; then print the summary on stderr.
+    Returns 1 iff some check failed; error entries do not fail the run."""
+    total = 0
     failures = 0
     errors = 0
-    total = 0
-    for kind in kinds:
-        stream = _roundtrip_stream(kind, args.seed, args.count)
-        for report in verify.run_roundtrip(kind, stream):
-            total += 1
-            status = "pass"
-            if report.error is not None:
-                errors += 1
-                status = "error"
-            elif not report.passed:
-                failures += 1
-                status = "FAIL"
-            line = {"kind": kind, "instance": report.fingerprint, "status": status}
-            if report.error is not None:
-                line["error"] = report.error
-            if not report.passed:
-                line["failed"] = report.failed_checks()
-            _emit(line, args.out)
+    for report, line in lines:
+        total += 1
+        if report.error is not None:
+            errors += 1
+            line["status"] = "error"
+            line["error"] = report.error
+        elif not report.passed:
+            failures += 1
+            line["status"] = "FAIL"
+        else:
+            line["status"] = "pass"
+        if not report.passed:
+            line["failed"] = report.failed_checks()
+        emit(line)
     print(
-        f"roundtrip: {total} instances, {failures} failures, {errors} errors",
+        f"{command}: {total} instances, {failures} failures, {errors} errors",
         file=sys.stderr,
     )
     return 1 if failures else 0
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args, emit) -> int:
     instances = list(
         _verify_corpus(args.seed, args.count, args.n_max, args.k_max)
     )

@@ -4,13 +4,16 @@ plus the shared queries and validators every solver builds on.
 
 Vertices are dense integers ``0..n-1`` throughout.  All quantities (sizes,
 profits, weights, capacities) are nonnegative integers; nothing in this package
-uses floating point.  Every type is immutable after construction and may be
-shared freely across workers.
+uses floating point.  The constructors check this: every vertex id, count and
+quantity must be a plain ``int`` (a ``bool`` or ``float`` raises
+``InputError``).  Every type is immutable after construction and may be shared
+freely across workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 
@@ -20,6 +23,14 @@ Cover = list[Configuration]
 
 class InputError(ValueError):
     """Raised when an instance or argument violates a documented invariant."""
+
+
+def _check_ints(values: Iterable, what: str) -> None:
+    """Every value must be a plain ``int``: bools and floats are rejected."""
+    other = set(map(type, values)) - {int}
+    if other:
+        names = ", ".join(sorted(t.__name__ for t in other))
+        raise InputError(f"{what}: expected int, got {names}")
 
 
 def _check_range(n: int, vertices: Iterable[int], what: str) -> None:
@@ -52,7 +63,10 @@ class SizedOutTree:
         roots = [v for v in range(n) if parent[v] is None]
         if len(roots) != 1:
             raise InputError(f"expected exactly one root, found {len(roots)}")
-        _check_range(n, (p for p in parent if p is not None), "parent")
+        ids = [p for p in parent if p is not None]
+        _check_ints(ids, "parent ids")
+        _check_range(n, ids, "parent")
+        _check_ints(size, "vertex sizes")
         if any(s < 0 for s in size):
             raise InputError("vertex sizes must be nonnegative")
         kids: list[list[int]] = [[] for _ in range(n)]
@@ -104,6 +118,7 @@ class CtInstance:
     capacity: int
 
     def __post_init__(self) -> None:
+        _check_ints((self.capacity,), "capacity")
         if self.capacity < 1:
             raise InputError("capacity must be at least 1")
         for v in range(self.tree.vertex_count):
@@ -123,9 +138,15 @@ class Digraph:
     predecessors: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
+        _check_ints((vertex_count,), "vertex count")
         if vertex_count < 1:
             raise InputError("graph must have at least one vertex")
-        dedup = sorted({(int(u), int(v)) for u, v in edges})
+        pairs = [tuple(e) for e in edges]
+        for e in pairs:
+            if len(e) != 2:
+                raise InputError(f"edge {list(e)} is not a pair")
+        _check_ints(chain.from_iterable(pairs), "edge endpoints")
+        dedup = sorted(set(pairs))
         for u, v in dedup:
             if u == v:
                 raise InputError(f"self-loop ({u},{v}) is not allowed")
@@ -157,8 +178,10 @@ class RcpInstance:
         profit = tuple(profit)
         if len(profit) != graph.vertex_count:
             raise InputError("profit array length must match vertex count")
+        _check_ints(profit, "profits")
         if any(p < 0 for p in profit):
             raise InputError("profits must be nonnegative")
+        _check_ints((budget,), "budget")
         if budget < 1:
             raise InputError("budget must be at least 1")
         object.__setattr__(self, "graph", graph)
@@ -187,9 +210,12 @@ class DkshInstance:
         weight: Sequence[int],
         budget: int,
     ):
+        _check_ints((vertex_count,), "vertex count")
         if vertex_count < 1:
             raise InputError("hypergraph must have at least one vertex")
-        edges = tuple(frozenset(int(v) for v in e) for e in hyperedges)
+        members = [tuple(e) for e in hyperedges]
+        _check_ints(chain.from_iterable(members), "hyperedge members")
+        edges = tuple(frozenset(e) for e in members)
         weight = tuple(weight)
         if len(weight) != len(edges):
             raise InputError("weight array length must match hyperedge count")
@@ -197,8 +223,10 @@ class DkshInstance:
             if not e:
                 raise InputError("hyperedges must be nonempty")
             _check_range(vertex_count, e, "hyperedge")
+        _check_ints(weight, "weights")
         if any(w < 0 for w in weight):
             raise InputError("weights must be nonnegative")
+        _check_ints((budget,), "budget")
         if budget < 1:
             raise InputError("budget must be at least 1")
         object.__setattr__(self, "vertex_count", vertex_count)
@@ -226,9 +254,13 @@ class BpccInstance:
         weight: Sequence[int],
         capacity: int,
     ):
-        groups = tuple(tuple(sorted(int(v) for v in c)) for c in clusters)
+        members = [tuple(c) for c in clusters]
+        _check_ints(chain.from_iterable(members), "cluster members")
+        groups = tuple(tuple(sorted(c)) for c in members)
         weight = tuple(weight)
         n = len(weight)
+        _check_ints(weight, "item weights")
+        _check_ints((capacity,), "capacity")
         if capacity < 1:
             raise InputError("capacity must be at least 1")
         if any(not g for g in groups):

@@ -35,16 +35,9 @@ from .model import (
     closure,
     contained_hyperedges,
     is_closed,
+    validate_configuration,
 )
 from .serialize import fingerprint
-
-REDUCTION_KINDS = (
-    "bpcc_to_ct",
-    "dksh_to_rcp",
-    "rcp_to_dksh",
-    "dks_to_urcp",
-    "degree_augment",
-)
 
 
 @dataclass(frozen=True)
@@ -109,8 +102,6 @@ def bpcc_map(
             | {1 + m + v for v in members}
         )
     if direction == "project":
-        from .model import validate_configuration
-
         problem = validate_configuration(artifact.target, members)
         if problem is not None:
             raise InputError(f"not a valid tree configuration: {problem}")
@@ -424,3 +415,16 @@ def augment_map(
 def _expect(artifact: ReductionArtifact, kind: str) -> None:
     if artifact.kind != kind:
         raise InputError(f"artifact is {artifact.kind!r}, expected {kind!r}")
+
+
+# kind -> (source instance type, builder).  ``dks_to_urcp`` reads the digraph
+# of an rcp instance and takes the subgraph budget and copy multiplier as
+# arguments; every other builder takes the source instance alone.
+REDUCTIONS = {
+    "bpcc_to_ct": (BpccInstance, bpcc_to_ct),
+    "dksh_to_rcp": (DkshInstance, dksh_to_rcp),
+    "rcp_to_dksh": (RcpInstance, rcp_to_dksh),
+    "dks_to_urcp": (RcpInstance, dks_to_urcp),
+    "degree_augment": (RcpInstance, degree_augment),
+}
+REDUCTION_KINDS = tuple(REDUCTIONS)

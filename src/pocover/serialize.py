@@ -68,13 +68,13 @@ def instance_to_doc(instance: Instance) -> dict[str, Any]:
 
 def doc_to_instance(doc: dict[str, Any]) -> Instance:
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise InputError(f"unsupported format_version {version!r}")
     kind = doc.get("kind")
     try:
         if kind == "ct":
             tree = SizedOutTree(doc["parent"], doc["size"])
-            if tree.vertex_count != doc["n"]:
+            if type(doc["n"]) is not int or tree.vertex_count != doc["n"]:
                 raise InputError("declared vertex count does not match arrays")
             return CtInstance(tree, doc["k"])
         if kind == "rcp":
@@ -86,6 +86,9 @@ def doc_to_instance(doc: dict[str, Any]) -> Instance:
             return BpccInstance(doc["clusters"], doc["weight"], doc["k"])
     except KeyError as exc:
         raise InputError(f"{kind} document is missing field {exc}") from exc
+    except TypeError as exc:
+        # a scalar where a list belongs, or a list where a scalar belongs
+        raise InputError(f"{kind} document has a field of the wrong shape: {exc}") from exc
     raise InputError(f"unknown instance kind {kind!r}")
 
 

@@ -7,7 +7,9 @@ the bound sandwich, and (when the exact oracle is in range) the factor-2
 guarantee against the true optimum.  The ``roundtrip_*`` functions do the
 analogous work for each reduction: solve both sides exactly, compare optima,
 carry the optima across the solution maps, and check the structural claims of
-the construction.
+the construction.  ``ROUNDTRIPS`` maps each reduction kind to its round trip
+and to the draw of the CLI's round-trip corpus; ``run_roundtrip`` dispatches
+through it.
 
 A report with an ``error`` is an instance that could not be processed (e.g.
 infeasible, or beyond an oracle guard); it does not count as a failed check.
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import exact, reductions
+from .generate import GenSpec, SplitMix64, generate
 from .model import (
     BpccInstance,
     CtInstance,
@@ -435,28 +438,61 @@ def roundtrip_dks_pipeline(graph: Digraph, k: int) -> RoundtripReport:
     return RoundtripReport("dks_to_urcp", fp, tuple(checks), None)
 
 
+def _draw_bpcc(rng: SplitMix64, seed: int) -> BpccInstance:
+    n = 1 + rng.randrange(8)
+    k = 1 + rng.randrange(6)
+    shape = {"cluster_count": 1 + rng.randrange(min(n, 4))}
+    return generate(GenSpec(kind="bpcc", n=n, k=k, seed=seed, shape=shape))
+
+
+def _draw_hypergraph(rng: SplitMix64, seed: int) -> DkshInstance:
+    n = 2 + rng.randrange(5)
+    k = 1 + rng.randrange(n)
+    shape = {"num_edges": 1 + rng.randrange(4)}
+    return generate(GenSpec(kind="hypergraph", n=n, k=k, seed=seed, shape=shape))
+
+
+def _draw_digraph(budgets: int):
+    def draw(rng: SplitMix64, seed: int) -> RcpInstance:
+        n = 2 + rng.randrange(7)
+        k = 1 + rng.randrange(budgets)
+        return generate(GenSpec(kind="digraph", n=n, k=k, seed=seed))
+
+    return draw
+
+
+def _draw_graph_and_budget(rng: SplitMix64, seed: int) -> tuple[Digraph, int]:
+    n = 2 + rng.randrange(9)
+    spec = GenSpec(kind="digraph", n=n, k=1, seed=seed, shape={"edge_density": 0.4})
+    return generate(spec).graph, 2 + rng.randrange(4)
+
+
+# kind -> (draw, check), in ``reductions.REDUCTION_KINDS`` order.
+# ``draw(rng, seed)`` makes one source instance of the CLI's round-trip corpus;
+# ``check`` runs the round trip on it.  ``dks_to_urcp`` items are (graph, k)
+# pairs.
+ROUNDTRIPS = {
+    "bpcc_to_ct": (_draw_bpcc, roundtrip_bpcc_to_ct),
+    "dksh_to_rcp": (_draw_hypergraph, roundtrip_dksh_to_rcp),
+    "rcp_to_dksh": (_draw_digraph(5), roundtrip_rcp_to_dksh),
+    "dks_to_urcp": (_draw_graph_and_budget, lambda pair: roundtrip_dks_pipeline(*pair)),
+    "degree_augment": (_draw_digraph(4), roundtrip_degree_augment),
+}
+
+
 def run_roundtrip(kind: str, instances: Iterable) -> list[RoundtripReport]:
-    """Dispatch a stream of instances through one reduction's round trip.
+    """Run a stream of instances through one reduction's round trip.
 
     For ``dks_to_urcp`` the stream consists of (graph, k) pairs.  Oracle
     guard violations become error entries rather than failures.
     """
-    runners = {
-        "bpcc_to_ct": roundtrip_bpcc_to_ct,
-        "dksh_to_rcp": roundtrip_dksh_to_rcp,
-        "rcp_to_dksh": roundtrip_rcp_to_dksh,
-        "degree_augment": roundtrip_degree_augment,
-    }
+    if kind not in ROUNDTRIPS:
+        raise ValueError(f"unknown roundtrip kind {kind!r}")
+    _, check = ROUNDTRIPS[kind]
     reports = []
     for item in instances:
         try:
-            if kind == "dks_to_urcp":
-                graph, k = item
-                reports.append(roundtrip_dks_pipeline(graph, k))
-            elif kind in runners:
-                reports.append(runners[kind](item))
-            else:
-                raise ValueError(f"unknown roundtrip kind {kind!r}")
+            reports.append(check(item))
         except exact.SizeGuardError as exc:
             reports.append(
                 RoundtripReport(kind, "?", (), f"oracle guard: {exc}")

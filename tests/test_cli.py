@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
+from pocover import reductions, verify
 from pocover.cli import main
-from pocover.serialize import loads_instance
+from pocover.model import InputError
+from pocover.serialize import doc_to_instance, loads_instance
 
 
 def run(capsys, *argv):
@@ -144,8 +148,6 @@ def test_reduce_command(tmp_path, capsys):
     assert doc["parameters"] == {"m": 2, "c": 11}
     assert doc["reduction"] == "dksh_to_rcp"
     # artifact documents parse back as plain instances of the target kind
-    from pocover.serialize import doc_to_instance
-
     parsed = doc_to_instance(doc)
     assert parsed.graph.vertex_count == 14
     assert parsed.budget == 11
@@ -197,3 +199,120 @@ def test_bench_command(capsys):
     assert code == 0
     assert "approx total" in out
     assert "exact  total" in out
+
+
+def _doc(kind, **fields):
+    return {"format_version": 1, "kind": kind, **fields}
+
+
+CT = _doc("ct", n=3, parent=[None, 0, 0], size=[0, 1, 2], k=3)
+RCP = _doc("rcp", n=3, edges=[[0, 1], [1, 2]], profit=[1, 0, 2], k=2)
+DKSH = _doc("dksh", n=4, hyperedges=[[0, 1, 2], [2, 3]], weight=[1, 1], k=3)
+BPCC = _doc("bpcc", clusters=[[0, 2], [1]], weight=[2, 1, 3], k=4)
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind, source, extra, target_kind, parameters",
+    [
+        ("bpcc_to_ct", BPCC, [], "ct", {"m": 2, "K": 12}),
+        ("dksh_to_rcp", DKSH, [], "rcp", {"m": 2, "c": 11}),
+        ("rcp_to_dksh", RCP, [], "dksh", {"n": 3}),
+        ("dks_to_urcp", RCP, ["--m", "2", "--k", "2"], "rcp", {"m": 2, "h_m": 10, "k": 2}),
+        ("dks_to_urcp", RCP, [], "rcp", {"m": 1, "h_m": 5, "k": 2}),
+        ("degree_augment", RCP, [], "rcp", {"m": 4, "l0": 2, "t": 13, "k_I": 26}),
+    ],
+)
+def test_reduce_every_kind(tmp_path, capsys, kind, source, extra, target_kind, parameters):
+    path = _write(tmp_path, source)
+    code, out, err = run(capsys, "reduce", "--kind", kind, *extra, str(path))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["reduction"] == kind
+    assert doc["kind"] == target_kind
+    assert doc["parameters"] == parameters
+    doc_to_instance(doc)  # the artifact parses back as a plain instance
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["reduce", "--kind", "bpcc_to_ct"], CT),
+        (["reduce", "--kind", "dksh_to_rcp"], RCP),
+        (["reduce", "--kind", "rcp_to_dksh"], DKSH),
+        (["reduce", "--kind", "dks_to_urcp"], BPCC),
+        (["reduce", "--kind", "degree_augment"], CT),
+        (["verify"], RCP),
+        (["bounds"], DKSH),
+    ],
+)
+def test_wrong_kind_file_exits_two(tmp_path, capsys, argv, doc):
+    path = _write(tmp_path, doc)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"pocover: error: {path}: expected ")
+
+
+def test_roundtrip_all_follows_the_kind_order(capsys):
+    code, out, err = run(capsys, "roundtrip", "--kind", "all", "--count", "2")
+    assert code == 0
+    kinds = [json.loads(line)["kind"] for line in out.splitlines()]
+    assert kinds == [kind for kind in reductions.REDUCTION_KINDS for _ in range(2)]
+    assert err == f"roundtrip: {len(kinds)} instances, 0 failures, 0 errors\n"
+
+
+def test_build_and_roundtrip_tables_name_the_same_kinds():
+    assert tuple(reductions.REDUCTIONS) == reductions.REDUCTION_KINDS
+    assert tuple(verify.ROUNDTRIPS) == reductions.REDUCTION_KINDS
+
+
+def test_out_file_is_rewritten_not_appended(tmp_path, capsys):
+    path = _write(tmp_path, CT)
+    out = tmp_path / "r.jsonl"
+    out.write_text("stale line\n")
+    for _ in range(2):
+        code, stdout, _ = run(capsys, "bounds", str(path), str(path), "--out", str(out))
+        assert code == 0 and stdout == ""
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    assert all(json.loads(line)["file"] == str(path) for line in lines)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _doc("ct", n=3, parent=[None, 0, 0], size=[0, 1, 1], k=1.5),
+        _doc("ct", n=2, parent=[None, 0], size=[0, 1.5], k=3),
+        _doc("ct", n=2, parent=[None, "0"], size=[0, 1], k=3),
+        _doc("ct", n=3, parent=[None, 0, True], size=[0, 1, 1], k=3),
+        _doc("ct", n=2.0, parent=[None, 0], size=[0, 1], k=3),
+        _doc("ct", n=2, parent=5, size=[0, 1], k=3),
+        _doc("rcp", n=3, edges=[[0, 1]], profit=[1, 0, 2], k=True),
+        _doc("rcp", n=3, edges=[[0, 1]], profit=[1, 0, 2], k=2.5),
+        _doc("rcp", n=3, edges=[[0, 1.0]], profit=[1, 0, 2], k=2),
+        _doc("rcp", n=3, edges=[[0, 1, 2]], profit=[1, 0, 2], k=2),
+        _doc("rcp", n=3, edges=[0, 1], profit=[1, 0, 2], k=2),
+        _doc("rcp", n=3, edges=[], profit=[1, 0.5, 2], k=2),
+        _doc("dksh", n=2, hyperedges=["01"], weight=[1], k=2),
+        _doc("dksh", n=2, hyperedges=[5], weight=[1], k=2),
+        _doc("dksh", n=2, hyperedges=[[0, 1]], weight=[1], k=None),
+        _doc("bpcc", clusters=[[0], [1]], weight=[1, 0.5], k=2),
+        _doc("bpcc", clusters=[[0], ["1"]], weight=[1, 1], k=2),
+        {**CT, "format_version": 1.0},
+    ],
+)
+def test_non_integer_or_misshapen_document_exits_two(tmp_path, capsys, doc):
+    path = _write(tmp_path, doc)
+    with pytest.raises(InputError):
+        loads_instance(path.read_text())
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("pocover: error: ")
