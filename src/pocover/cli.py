@@ -125,7 +125,7 @@ def _cmd_gen(args, emit) -> int:
     docs = []
     for i in range(args.count):
         spec = GenSpec(
-            kind=args.kind, n=args.n, k=args.k, seed=args.seed + i, shape=dict(args.shape)
+            kind=args.kind, n=args.n, k=args.k, seed=args.seed + i, shape=args.shape
         )
         instance = generate_instance(spec)
         docs.append(serialize.instance_to_doc(instance))
@@ -146,7 +146,11 @@ def _cmd_gen(args, emit) -> int:
 
 def _load(path: Path, expected: type = object):
     """Parse the instance file at ``path``; it must hold an ``expected``."""
-    instance = serialize.loads_instance(path.read_text())
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    instance = serialize.loads_instance(text)
     if not isinstance(instance, expected):
         raise InputError(
             f"{path}: expected {expected.__name__}, found {type(instance).__name__}"

@@ -56,13 +56,6 @@ def enumerate_configurations(instance: CtInstance) -> list[Configuration]:
         raise SizeGuardError(
             f"configuration enumeration is limited to {CONFIG_ENUM_MAX_VERTICES} vertices"
         )
-    order: list[int] = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(tree.children[v])
-
     results: list[Configuration] = []
     chosen: set[int] = set()
 
@@ -71,7 +64,7 @@ def enumerate_configurations(instance: CtInstance) -> list[Configuration]:
             if chosen:
                 results.append(frozenset(chosen))
             return
-        v = order[i]
+        v = tree.order[i]
         extend(i + 1, total)
         p = tree.parent[v]
         if (p is None or p in chosen) and total + tree.size[v] <= k:

@@ -8,6 +8,7 @@ never consults ambient entropy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -72,6 +73,24 @@ class SplitMix64:
         return out
 
 
+def _ints(*values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+# Each known shape field: the type its value must have, and the test for it.
+_SHAPE_FIELDS = {
+    **dict.fromkeys(
+        ("size_range", "profit_range", "arity_range", "weight_range"),
+        ("a pair of ints", lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and _ints(*v)),
+    ),
+    "max_children": ("an int or null", lambda v: v is None or _ints(v)),
+    "num_edges": ("an int", _ints),
+    "cluster_count": ("an int", _ints),
+    "edge_density": ("a finite number", lambda v: _ints(v) or type(v) is float and math.isfinite(v)),
+    "items": ("a list of ints", lambda v: isinstance(v, list) and _ints(*v)),
+}
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """A fully reproducible description of one random instance."""
@@ -89,6 +108,12 @@ class GenSpec:
             raise InputError("n must be at least 1")
         if self.k < 1:
             raise InputError("k must be at least 1")
+        if not isinstance(self.shape, dict):
+            raise InputError(f"shape must be an object, not {type(self.shape).__name__}")
+        for name, value in self.shape.items():
+            what, ok = _SHAPE_FIELDS.get(name, ("", lambda v: True))
+            if not ok(value):
+                raise InputError(f"shape field {name!r} must be {what}")
 
 
 def generate(spec: GenSpec):
@@ -117,37 +142,36 @@ def _gen_out_tree(spec: GenSpec, rng: SplitMix64) -> CtInstance:
     never finds a forced or infeasible path."""
     lo, hi = spec.shape.get("size_range", (0, spec.k))
     max_children = spec.shape.get("max_children")
+    takes_children = max_children is None or max_children > 0
     for _ in range(_RETRIES):
         parent: list[int | None] = [None]
-        child_count = [0]
-        ok = True
+        child_count = [0] * spec.n
+        # The earlier vertices with room for a child, in ascending order.
+        eligible = [0] if takes_children else []
         for v in range(1, spec.n):
-            eligible = [
-                u
-                for u in range(v)
-                if max_children is None or child_count[u] < max_children
-            ]
             if not eligible:
-                ok = False
                 break
-            p = eligible[rng.randrange(len(eligible))]
+            i = rng.randrange(len(eligible))
+            p = eligible[i]
             parent.append(p)
             child_count[p] += 1
-            child_count.append(0)
-        if not ok:
+            if child_count[p] == max_children:
+                del eligible[i]
+            if takes_children:
+                eligible.append(v)
+        if len(parent) < spec.n:
             continue
         depth_budget = [0] * spec.n
         size = [0] * spec.n
+        ok = True
         for v in range(spec.n):
-            room = spec.k - 1 - (0 if parent[v] is None else depth_budget[parent[v]])
-            top = min(hi, room)
+            above = 0 if parent[v] is None else depth_budget[parent[v]]
+            top = min(hi, spec.k - 1 - above)
             if lo > top:
                 ok = False
                 break
             size[v] = rng.randint(lo, top)
-            depth_budget[v] = size[v] + (
-                0 if parent[v] is None else depth_budget[parent[v]]
-            )
+            depth_budget[v] = size[v] + above
         if ok:
             return CtInstance(SizedOutTree(parent, size), spec.k)
     raise GenerationError(
@@ -165,7 +189,6 @@ def _gen_bp_star(spec: GenSpec, rng: SplitMix64) -> CtInstance:
         if lo > top:
             raise GenerationError("size_range exceeds the capacity")
         items = [rng.randint(lo, top) for _ in range(spec.n)]
-    items = list(items)
     if any(w > spec.k for w in items):
         raise GenerationError("item larger than the capacity")
     parent = [None] + [0] * len(items)
@@ -189,7 +212,7 @@ def _gen_rcp(spec: GenSpec, rng: SplitMix64, acyclic: bool) -> RcpInstance:
 
 
 def _gen_hypergraph(spec: GenSpec, rng: SplitMix64) -> DkshInstance:
-    num_edges = int(spec.shape.get("num_edges", max(1, spec.n // 2)))
+    num_edges = spec.shape.get("num_edges", max(1, spec.n // 2))
     alo, ahi = spec.shape.get("arity_range", (1, min(3, spec.n)))
     wlo, whi = spec.shape.get("weight_range", (0, 5))
     if alo < 1 or ahi > spec.n or alo > ahi:
@@ -204,7 +227,7 @@ def _gen_hypergraph(spec: GenSpec, rng: SplitMix64) -> DkshInstance:
 
 
 def _gen_bpcc(spec: GenSpec, rng: SplitMix64) -> BpccInstance:
-    cluster_count = int(spec.shape.get("cluster_count", min(spec.n, 3)))
+    cluster_count = spec.shape.get("cluster_count", min(spec.n, 3))
     if not 1 <= cluster_count <= spec.n:
         raise GenerationError("cluster_count must be in [1, n]")
     wlo, whi = spec.shape.get("weight_range", (0, spec.k))

@@ -44,13 +44,15 @@ class SizedOutTree:
     """Rooted out-tree with integer vertex sizes.
 
     ``parent[v]`` is None exactly for the root; every vertex reaches the root
-    by following parent links.
+    by following parent links.  ``order`` lists every vertex once, each
+    parent before its children.
     """
 
     parent: tuple[Optional[int], ...]
     size: tuple[int, ...]
     root: int = field(init=False, compare=False, repr=False)
     children: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    order: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __init__(self, parent: Sequence[Optional[int]], size: Sequence[int]):
         parent = tuple(parent)
@@ -74,20 +76,16 @@ class SizedOutTree:
             if p is not None:
                 kids[p].append(v)
         # BFS from the root; anything unreached sits on a parent cycle.
-        seen = [False] * n
-        queue = [roots[0]]
-        seen[roots[0]] = True
-        while queue:
-            u = queue.pop()
-            for c in kids[u]:
-                seen[c] = True
-                queue.append(c)
-        if not all(seen):
+        order = [roots[0]]
+        for u in order:
+            order.extend(kids[u])
+        if len(order) != n:
             raise InputError("parent links contain a cycle or disconnected vertex")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "root", roots[0])
-        object.__setattr__(self, "children", tuple(tuple(sorted(c)) for c in kids))
+        object.__setattr__(self, "children", tuple(tuple(c) for c in kids))
+        object.__setattr__(self, "order", tuple(order))
 
     @property
     def vertex_count(self) -> int:
@@ -290,13 +288,7 @@ class BpccInstance:
 
 def path_weight(tree: SizedOutTree, v: int) -> int:
     """Total size along the root-to-``v`` path, inclusive of ``v``."""
-    _check_range(tree.vertex_count, [v], "path_weight")
-    total = 0
-    u: Optional[int] = v
-    while u is not None:
-        total += tree.size[u]
-        u = tree.parent[u]
-    return total
+    return sum(tree.size[u] for u in tree.ancestors(v))
 
 
 def closure(graph: Digraph, seed: Iterable[int]) -> frozenset[int]:

@@ -16,6 +16,7 @@ fills a configuration (that configuration is forced), and zero-size leaves
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -125,30 +126,25 @@ def preprocess(instance: CtInstance) -> PreprocessResult:
     alive = set(range(n))
     child_count = [len(tree.children[v]) for v in range(n)]
 
-    # Zero-size leaves first: detaching one may expose another.
+    # Zero-size leaves first: detaching one may expose another.  They go in
+    # passes of ascending id; a parent exposed by a larger id than its own
+    # waits for the next pass.  The heap holds (pass, id).
     zero_leaves: list[tuple[int, int]] = []
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            p = tree.parent[v]
-            if p is not None and child_count[v] == 0 and tree.size[v] == 0 and v in alive:
-                alive.remove(v)
-                child_count[p] -= 1
-                zero_leaves.append((v, p))
-                changed = True
+    heap = [(0, v) for v in range(n) if v != tree.root and child_count[v] == tree.size[v] == 0]
+    while heap:
+        rnd, v = heapq.heappop(heap)
+        p = tree.parent[v]
+        alive.remove(v)
+        child_count[p] -= 1
+        zero_leaves.append((v, p))
+        if p != tree.root and child_count[p] == tree.size[p] == 0:
+            heapq.heappush(heap, (rnd + (p < v), p))
 
     # Leaves whose root path exactly fills a configuration force that
-    # configuration.  Removing one never creates a new leaf, so a scan per
-    # emitted set suffices.
+    # configuration.  Removing one never creates a new leaf (a parent left
+    # childless goes with it), so one scan finds them all.
     forced: list[Configuration] = []
-    while True:
-        candidates = [
-            v for v in sorted(alive) if child_count[v] == 0 and h[v] == k
-        ]
-        if not candidates:
-            break
-        leaf = candidates[0]
+    for leaf in [v for v in sorted(alive) if child_count[v] == 0 and h[v] == k]:
         forced.append(tree.ancestors(leaf))
         v: Optional[int] = leaf
         while v is not None:
@@ -188,10 +184,9 @@ def anchor_step(
     tree, k = instance.tree, instance.capacity
     active = frozenset(active)
     _require_rooted(tree, active)
-    des_size, kids = _active_descendant_sizes(tree, active)
     if sum(tree.size[v] for v in active) <= k:
         raise InputError("anchor_step requires active mass above the capacity")
-    h = _path_weights(tree)
+    h, des_size, kids = _active_walk(tree, active)
     fitting = frozenset(v for v in active if des_size[v] <= k - h[v])
     anchors = frozenset(
         v
@@ -216,18 +211,17 @@ def next_fit(
     _require_rooted(tree, active)
     if a not in active:
         raise InputError(f"anchor {a} is not active")
-    des_size, kids = _active_descendant_sizes(tree, active)
+    kids = [u for u in tree.children[a] if u in active]
+    subtrees = [_active_subtree(tree, active, u) for u in kids]
     h_a = path_weight(tree, a)
-    if des_size[a] <= k - h_a:
+    if sum(sub_size for _, sub_size in subtrees) <= k - h_a:
         raise InputError(f"vertex {a} is not an anchor: its descendants fit")
     path = tree.ancestors(a)
 
     sets: list[frozenset[int]] = []
     current = set(path)
     current_size = h_a
-    for u in kids[a]:
-        sub = _active_subtree(tree, active, u)
-        sub_size = tree.size[u] + des_size[u]
+    for u, (sub, sub_size) in zip(kids, subtrees):
         if h_a + sub_size > k:
             raise InputError(f"child {u} of anchor {a} does not fit; not an anchor")
         if current_size + sub_size <= k:
@@ -268,15 +262,14 @@ def cover(instance: CtInstance) -> CoverResult:
         h = _path_weights(tree)
         active = frozenset(range(tree.vertex_count))
         iteration = 1
-        raw_records: list[tuple[int, AnchorRecord]] = []
+        leftover: dict[int, int] = {}  # reduced anchor id -> leftover size
         while sum(tree.size[v] for v in active) > k:
             _, anchors = anchor_step(red, active)
             covered: set[int] = set()
             for a in sorted(anchors):
                 nf = next_fit(red, active, a)
                 first = len(cover_sets)
-                for q in nf.sets:
-                    cover_sets.append(frozenset(to_orig[v] for v in q))
+                cover_sets.extend(frozenset(to_orig[v] for v in q) for q in nf.sets)
                 record = AnchorRecord(
                     anchor=to_orig[a],
                     iteration=iteration,
@@ -286,17 +279,16 @@ def cover(instance: CtInstance) -> CoverResult:
                     anchored_vertices=frozenset(to_orig[v] for v in nf.anchored),
                     emitted_sets=tuple(range(first, first + len(nf.sets))),
                 )
-                raw_records.append((a, record))
-                for q in nf.sets:
-                    covered |= q
-            remaining = active - covered
-            if remaining:
-                nxt: set[int] = set()
-                for v in remaining:
-                    nxt |= tree.ancestors(v)
-                active = frozenset(nxt)
-            else:
-                active = frozenset()
+                records.append(record)
+                leftover[a] = record.leftover_size
+                covered.update(*nf.sets)
+            # Ancestor closure of what is left; each walk stops at a taken vertex.
+            nxt: set[int] = set()
+            for v in active - covered:
+                while v is not None and v not in nxt:
+                    nxt.add(v)
+                    v = tree.parent[v]
+            active = frozenset(nxt)
             iteration += 1
             if iteration > tree.vertex_count + 1:
                 raise AssertionError("cover loop failed to make progress")
@@ -304,25 +296,25 @@ def cover(instance: CtInstance) -> CoverResult:
             final_residual = frozenset(to_orig[v] for v in active)
             cover_sets.append(final_residual)
 
-        records = [rec for _, rec in raw_records]
-        anchor_ids = {a for a, _ in raw_records}
-        top_reduced = frozenset(
-            a
-            for a in anchor_ids
-            if not (tree.ancestors(a) - {a}) & anchor_ids
-        )
-        alpha = _parity_term(tree, raw_records, top_reduced)
+        top_reduced, alpha = _parity_term(tree, leftover)
         top_anchors = frozenset(to_orig[a] for a in top_reduced)
     else:
         top_anchors = frozenset()
 
+    # Each zero leaf joins the first set holding its parent; a parent that is
+    # itself a zero leaf was placed just before it.
+    parents = {p for _, p in pre.zero_leaves}
+    first_set: dict[int, int] = {}
+    for i, s in enumerate(cover_sets):
+        for v in parents & s:
+            first_set.setdefault(v, i)
     attachments: dict[int, int] = {}
+    joining: dict[int, set[int]] = {}
     for leaf, parent in reversed(pre.zero_leaves):
-        target = next(
-            i for i, s in enumerate(cover_sets) if parent in s
-        )
-        cover_sets[target] = cover_sets[target] | {leaf}
-        attachments[leaf] = target
+        target = attachments[leaf] = first_set[leaf] = first_set[parent]
+        joining.setdefault(target, set()).add(leaf)
+    for target, leaves in joining.items():
+        cover_sets[target] |= leaves
 
     trace = RunTrace(
         anchors=tuple(records),
@@ -352,31 +344,31 @@ def bounds(trace: RunTrace, instance: CtInstance) -> Bounds:
 
 
 def _parity_term(
-    tree: SizedOutTree,
-    raw_records: list[tuple[int, AnchorRecord]],
-    top_reduced: frozenset[int],
-) -> int:
-    """The 0/1 correction shared by both bounds: 1 when a top anchor kept
-    leftovers or some leaf has no top anchor above it."""
-    if any(rec.leftover_size > 0 for a, rec in raw_records if a in top_reduced):
-        return 1
-    for leaf in tree.leaves():
-        if not tree.ancestors(leaf) & top_reduced:
-            return 1
-    return 0
+    tree: SizedOutTree, leftover: dict[int, int]
+) -> tuple[frozenset[int], int]:
+    """The top anchors (no anchor above them) among the keys of ``leftover``
+    (anchor -> leftover size), and the 0/1 correction shared by both bounds:
+    1 when a top anchor kept leftovers or some leaf has no top anchor above
+    it.  One walk from the root that stops at top anchors."""
+    top: list[int] = []
+    bare_leaf = False
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        if v in leftover:
+            top.append(v)
+        elif tree.children[v]:
+            stack.extend(tree.children[v])
+        else:
+            bare_leaf = True
+    return frozenset(top), int(bare_leaf or any(leftover[a] for a in top))
 
 
 def _path_weights(tree: SizedOutTree) -> list[int]:
     h = [0] * tree.vertex_count
-    order = [tree.root]
-    h[tree.root] = tree.size[tree.root]
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        for c in tree.children[u]:
-            h[c] = h[u] + tree.size[c]
-            order.append(c)
+    for v in tree.order:
+        p = tree.parent[v]
+        h[v] = tree.size[v] + (0 if p is None else h[p])
     return h
 
 
@@ -389,23 +381,30 @@ def _require_rooted(tree: SizedOutTree, active: frozenset[int]) -> None:
             raise InputError("active set must be closed under ancestors")
 
 
-def _active_descendant_sizes(
+def _active_walk(
     tree: SizedOutTree, active: frozenset[int]
-) -> tuple[dict[int, int], dict[int, list[int]]]:
-    """Strict-descendant mass and child lists within the induced subtree."""
-    kids = {
-        v: [c for c in tree.children[v] if c in active] for v in active
-    }
-    des = {v: 0 for v in active}
-    for v in _bottom_up(tree, active, kids):
+) -> tuple[dict[int, int], dict[int, int], dict[int, list[int]]]:
+    """Root-path weight, strict-descendant mass and child list of every vertex
+    of the rooted active subtree, from one walk down and back up."""
+    h: dict[int, int] = {}
+    kids: dict[int, list[int]] = {}
+    order = [tree.root]
+    for v in order:
+        p = tree.parent[v]
+        h[v] = tree.size[v] + (0 if p is None else h[p])
+        kids[v] = [c for c in tree.children[v] if c in active]
+        order.extend(kids[v])
+    des = dict.fromkeys(order, 0)
+    for v in reversed(order):
         for c in kids[v]:
             des[v] += des[c] + tree.size[c]
-    return des, kids
+    return h, des, kids
 
 
 def _active_subtree(
     tree: SizedOutTree, active: frozenset[int], u: int
-) -> frozenset[int]:
+) -> tuple[frozenset[int], int]:
+    """The active subtree below and including ``u``, and its mass."""
     out = {u}
     stack = [u]
     while stack:
@@ -414,17 +413,4 @@ def _active_subtree(
             if c in active:
                 out.add(c)
                 stack.append(c)
-    return frozenset(out)
-
-
-def _bottom_up(
-    tree: SizedOutTree, active: frozenset[int], kids: dict[int, list[int]]
-) -> list[int]:
-    order: list[int] = []
-    stack = [v for v in active if tree.parent[v] is None or tree.parent[v] not in active]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(kids[v])
-    order.reverse()
-    return order
+    return frozenset(out), sum(tree.size[v] for v in out)

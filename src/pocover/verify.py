@@ -114,14 +114,15 @@ def structural_checks(instance: CtInstance, result_cover, trace: RunTrace) -> li
         taken |= rec.anchored_vertices
     checks.append(("anchored_disjoint", disjoint))
 
-    order_ok = True
-    for one in trace.anchors:
-        for other in trace.anchors:
-            if one.anchor != other.anchor and one.anchor in instance.tree.ancestors(
-                other.anchor
-            ):
-                if one.iteration <= other.iteration:
-                    order_ok = False
+    # An anchor that the trace records twice counts with its earliest iteration.
+    fired: dict[int, int] = {}
+    for rec in trace.anchors:
+        fired[rec.anchor] = min(rec.iteration, fired.get(rec.anchor, rec.iteration))
+    order_ok = all(
+        fired.get(u, rec.iteration + 1) > rec.iteration
+        for rec in trace.anchors
+        for u in instance.tree.ancestors(rec.anchor) - {rec.anchor}
+    )
     checks.append(("anchor_ancestors_fire_later", order_ok))
 
     mass_ok = all(

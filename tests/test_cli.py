@@ -316,3 +316,43 @@ def test_non_integer_or_misshapen_document_exits_two(tmp_path, capsys, doc):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("pocover: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["bounds"], ["verify"], ["reduce", "--kind", "bpcc_to_ct"]],
+)
+@pytest.mark.parametrize("target", ["missing", "directory", "binary"])
+def test_unreadable_input_file_exits_two(tmp_path, capsys, argv, target):
+    path = tmp_path / target
+    if target == "directory":
+        path.mkdir()
+    elif target == "binary":
+        path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"pocover: error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--shape", "[1]"],
+        ["--shape", '{"size_range": 5}'],
+        ["--shape", '{"size_range": [0, 1, 2]}'],
+        ["--shape", '{"size_range": [0, 1.5]}'],
+        ["--shape", '{"max_children": "a"}'],
+        ["--kind", "dag", "--shape", '{"edge_density": "x"}'],
+        ["--kind", "dag", "--shape", '{"edge_density": NaN}'],
+        ["--kind", "hypergraph", "--shape", '{"num_edges": 2.5}'],
+        ["--kind", "bpcc", "--shape", '{"cluster_count": true}'],
+        ["--kind", "bp_star", "--shape", '{"items": 3}'],
+        ["--kind", "bp_star", "--shape", '{"items": ["a"]}'],
+    ],
+)
+def test_malformed_shape_exits_two(capsys, argv):
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("pocover: error: shape ")

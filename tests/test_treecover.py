@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pocover.exact import exact_ct
+from pocover.generate import GenerationError, GenSpec, SplitMix64, generate
 from pocover.model import (
     CtInstance,
     InputError,
@@ -9,6 +13,7 @@ from pocover.model import (
     validate_configuration,
     validate_cover,
 )
+from pocover.serialize import cover_to_doc, dumps_instance, trace_to_doc
 from pocover.treecover import (
     InfeasibleInstance,
     anchor_step,
@@ -17,6 +22,7 @@ from pocover.treecover import (
     next_fit,
     preprocess,
 )
+from pocover.verify import structural_checks
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +85,6 @@ def test_preprocess_zero_root_survives():
 
 
 def test_preprocess_postconditions_on_random_trees():
-    from pocover.generate import SplitMix64
-
     rng = SplitMix64(2024)
     seen_forced = 0
     for _ in range(400):
@@ -366,3 +370,115 @@ def test_cover_properties_hold_on_random_instances(inst):
     pre = preprocess(inst)
     exact_reduced = 0 if pre.reduced is None else len(exact_ct(pre.reduced))
     assert b.lower <= exact_reduced <= trace.loop_and_residual_count()
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs and oracle-free checks at scale
+
+
+def _caterpillar(spine, labeling_seed=None):
+    """A zero-size spine, each spine vertex with two size-3 leaves.  With a
+    seed, the same tree under a seeded labeling where parents precede
+    children."""
+    parent = [None] + list(range(spine - 1)) + [s for s in range(spine) for _ in (0, 1)]
+    size = [0] * spine + [3] * (2 * spine)
+    if labeling_seed is None:
+        return parent, size
+    rng = SplitMix64(labeling_seed)
+    kids = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p is not None:
+            kids[p].append(v)
+    order, frontier = [], [0]
+    while frontier:
+        i = rng.randrange(len(frontier))
+        frontier[i], frontier[-1] = frontier[-1], frontier[i]
+        order.append(frontier.pop())
+        frontier.extend(kids[order[-1]])
+    new = {old: i for i, old in enumerate(order)}
+    return (
+        [None if parent[old] is None else new[parent[old]] for old in order],
+        [size[old] for old in order],
+    )
+
+
+def _digest_corpus():
+    """(label, generator spec or None, instance or error text)."""
+    for max_children in (None, 0, 1, 2, 3):
+        for size_range in ((0, 0), (0, 3), (0, 12), (1, 5)):
+            for seed in range(12):
+                shape = {"size_range": size_range}
+                if max_children is not None:
+                    shape["max_children"] = max_children
+                spec = GenSpec("out_tree", n=1 + 3 * seed, k=2 + seed % 9, seed=seed, shape=shape)
+                try:
+                    yield "gen", spec, generate(spec)
+                except GenerationError as exc:
+                    yield "gen", spec, str(exc)
+    rng = SplitMix64(77)
+    for _ in range(300):
+        n = 1 + rng.randrange(60)
+        k = 1 + rng.randrange(9)
+        parent = [None] + [rng.randrange(i) for i in range(1, n)]
+        size = [0 if rng.randrange(3) else rng.randint(1, 1 + k // 3) for _ in range(n)]
+        yield "zeros", None, CtInstance(SizedOutTree(parent, size), k)
+    for spine in range(1, 13):
+        for labeling in (None, spine):
+            parent, size = _caterpillar(spine, labeling)
+            yield "caterpillar", None, CtInstance(SizedOutTree(parent, size), 10)
+    for n in range(1, 31):
+        for k in (1, 3):
+            chain = [None] + list(range(n - 1))
+            yield "zero_chain", None, CtInstance(SizedOutTree(chain, [0] * n), k)
+            yield "zero_chain_leaf", None, CtInstance(
+                SizedOutTree(chain + [n - 1], [0] * n + [k]), k
+            )
+
+
+def test_output_digest_on_seeded_corpus():
+    """Covers, traces and bounds on seeded out-trees (every max_children
+    setting, size ranges that include 0), trees with many zero-size vertices,
+    caterpillars under two labelings and zero chains, hashed with the
+    generator's bytes.  The digest changes only with a deliberate change of
+    output, which CHANGES.md records together with the new value."""
+    digest = hashlib.sha256()
+    for label, spec, inst in _digest_corpus():
+        line = [label, None if spec is None else [spec.n, spec.k, spec.seed, spec.shape]]
+        if isinstance(inst, str):
+            line.append(inst)
+        else:
+            if spec is not None:
+                line.append(dumps_instance(inst))
+            try:
+                result = cover(inst)
+            except InfeasibleInstance as exc:
+                line.append(str(exc))
+            else:
+                b = bounds(result.trace, inst)
+                line += [
+                    cover_to_doc(result.cover),
+                    trace_to_doc(result.trace),
+                    [b.lower, b.upper, b.alpha],
+                ]
+        digest.update(json.dumps(line, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == "fc6c20dfeac7bc07ba6c2d5ac39b8b08c235e2ff37930831a66bb1784b68d70d"
+
+
+def _random_tree_n10000():
+    spec = GenSpec("out_tree", n=10_000, k=1000, seed=5, shape={"size_range": (1, 60)})
+    return generate(spec)
+
+
+def _caterpillar_n999():
+    return CtInstance(SizedOutTree(*_caterpillar(333, 1)), 10)
+
+
+@pytest.mark.parametrize("build", [_random_tree_n10000, _caterpillar_n999])
+def test_oracle_free_checks_at_scale(build):
+    inst = build()
+    result = cover(inst)
+    checks = structural_checks(inst, result.cover, result.trace)
+    assert [name for name, ok in checks if not ok] == []
+    b = bounds(result.trace, inst)
+    assert result.trace.loop_and_residual_count() <= b.upper <= 2 * b.lower
+    assert len(result.cover) <= b.upper + len(result.trace.forced_prefix)

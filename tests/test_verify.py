@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from pocover.generate import GenSpec, SplitMix64, generate
 from pocover.model import CtInstance, Digraph, SizedOutTree
+from pocover.treecover import cover
 from pocover.verify import (
     roundtrip_bpcc_to_ct,
     roundtrip_degree_augment,
@@ -10,6 +13,7 @@ from pocover.verify import (
     roundtrip_rcp_to_dksh,
     run_roundtrip,
     run_verify,
+    structural_checks,
     verify_ct,
 )
 
@@ -98,3 +102,52 @@ def test_run_roundtrip_dispatch_and_guard():
 
     with pytest.raises(ValueError):
         run_roundtrip("upside_down", [h])
+
+
+def _multi_round_run():
+    # Leftovers of anchor 2 are finished later by anchor 0, its grandparent.
+    inst = CtInstance(
+        SizedOutTree([None, 0, 1, 2, 2, 2, 0, 0], [0, 0, 1, 2, 2, 2, 3, 3]), 4
+    )
+    result = cover(inst)
+    assert [(rec.anchor, rec.iteration) for rec in result.trace.anchors] == [(2, 1), (0, 2)]
+    return inst, result
+
+
+def _corrupt_anchor(trace, i, **fields):
+    anchors = list(trace.anchors)
+    anchors[i] = replace(anchors[i], **fields)
+    return replace(trace, anchors=tuple(anchors))
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("anchor_ancestors_fire_later", lambda t: _corrupt_anchor(t, 1, iteration=1)),
+        ("anchor_ancestors_fire_later", lambda t: _corrupt_anchor(t, 0, iteration=3)),
+        # vertex 3 (size 2) is anchored by anchor 2 already
+        (
+            "anchored_disjoint",
+            lambda t: _corrupt_anchor(
+                t,
+                1,
+                anchored_vertices=t.anchors[1].anchored_vertices | {3},
+                anchored_size=t.anchors[1].anchored_size + 2,
+            ),
+        ),
+        ("next_fit_even", lambda t: _corrupt_anchor(t, 0, emitted_sets=(0, 1, 2))),
+    ],
+)
+def test_structural_checks_catch_a_corrupted_trace(name, corrupt):
+    inst, result = _multi_round_run()
+    assert all(ok for _, ok in structural_checks(inst, result.cover, result.trace))
+    checks = structural_checks(inst, result.cover, corrupt(result.trace))
+    assert [n for n, ok in checks if not ok] == [name]
+
+
+def test_order_check_takes_the_earliest_record_of_an_anchor():
+    inst, result = _multi_round_run()
+    inner, outer = result.trace.anchors
+    trace = replace(result.trace, anchors=(inner, replace(outer, iteration=1), outer))
+    checks = dict(structural_checks(inst, result.cover, trace))
+    assert not checks["anchor_ancestors_fire_later"]
