@@ -2,13 +2,13 @@
 
 Subcommands: ``gen`` (seeded instances), ``solve`` (approximate or exact),
 ``bounds`` (per-instance lower/upper bounds from a run trace), ``reduce``
-(reduction artifacts), ``verify`` / ``roundtrip`` (the property harness), and
-``bench`` (timing).  The exit code is 0 iff no assertion failed; verification
-errors on individual instances (infeasible input, oracle guard) are reported
-but do not fail the run.  Malformed input (``InputError``) and unsatisfiable
-generator shapes (``GenerationError``) end the run with a one-line message on
-stderr and exit code 2.  JSON-line results go to stdout, or with ``--out`` to a
-file that each run rewrites.
+(reduction artifacts), and ``verify`` / ``roundtrip`` (the property harness).
+The exit code is 0 iff no assertion failed; verification errors on individual
+instances (infeasible input, oracle guard) are reported but do not fail the
+run.  Malformed input (``InputError``) and unsatisfiable generator shapes
+(``GenerationError``) end the run with a one-line message on stderr and exit
+code 2.  JSON-line results go to stdout, or with ``--out`` to a file that each
+run rewrites.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -30,7 +29,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # ``bench`` has no --out, and gen's --out is stored as ``target``
+        # gen's --out is stored as ``target``
         with _jsonl_sink(getattr(args, "out", None)) as emit:
             return args.handler(args, emit)
     except (InputError, GenerationError) as exc:
@@ -99,13 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_round.add_argument("--count", type=int, default=25)
     p_round.add_argument("--out", type=Path)
     p_round.set_defaults(handler=_cmd_roundtrip)
-
-    p_bench = sub.add_parser("bench", help="timing of approximate vs exact solving")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--count", type=int, default=50)
-    p_bench.add_argument("--n-max", type=int, default=14)
-    p_bench.add_argument("--k-max", type=int, default=12)
-    p_bench.set_defaults(handler=_cmd_bench)
 
     return parser
 
@@ -323,23 +315,6 @@ def _report(command: str, lines, emit) -> int:
         file=sys.stderr,
     )
     return 1 if failures else 0
-
-
-def _cmd_bench(args, emit) -> int:
-    instances = list(
-        _verify_corpus(args.seed, args.count, args.n_max, args.k_max)
-    )
-    t0 = time.perf_counter()
-    for instance in instances:
-        treecover.cover(instance)
-    t1 = time.perf_counter()
-    for instance in instances:
-        exact.exact_ct(instance)
-    t2 = time.perf_counter()
-    print(f"instances: {len(instances)} (n <= {args.n_max}, k <= {args.k_max})")
-    print(f"approx total: {t1 - t0:.3f}s ({(t1 - t0) / len(instances) * 1e3:.2f} ms each)")
-    print(f"exact  total: {t2 - t1:.3f}s ({(t2 - t1) / len(instances) * 1e3:.2f} ms each)")
-    return 0
 
 
 if __name__ == "__main__":

@@ -14,11 +14,15 @@ source subsets (2^|sources|).  The walk with the fewest masks runs, up to a
 ceiling of 2^20 masks.  The answer does not depend on which one: every walk
 returns the maximum profit and, among the closed sets within the budget that
 reach it, the one with the lexicographically smallest sorted vertex tuple.
+Each walk reads a mask's size, profit and predecessors from tables with one
+entry per mask (``_subset_table``), so the ceiling bounds memory too: a
+2^20-mask walk peaks at about 45-120 MB.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from math import comb
 from typing import Optional
 
@@ -37,6 +41,7 @@ CONFIG_ENUM_MAX_VERTICES = 20
 EXACT_CT_MAX_VERTICES = 18
 RCP_MAX_MASK_BITS = 20
 DKSH_MAX_COMBINATIONS = 10**7
+BPCC_MAX_CLUSTER = 18
 
 
 class SizeGuardError(ValueError):
@@ -119,15 +124,6 @@ def exact_ct(instance: CtInstance) -> Cover:
     seen: dict[int, int] = {}
     chosen: list[int] = []
 
-    def uncovered_size(mask: int) -> int:
-        rest = full & ~mask
-        s = 0
-        while rest:
-            low = rest & -rest
-            s += sizes[low.bit_length() - 1]
-            rest &= rest - 1
-        return s
-
     def descend(mask: int, depth: int) -> None:
         nonlocal best, best_cover
         if mask == full:
@@ -135,7 +131,7 @@ def exact_ct(instance: CtInstance) -> Cover:
                 best = depth
                 best_cover = chosen.copy()
             return
-        if depth + max(1, -(-uncovered_size(mask) // k)) >= best:
+        if depth + max(1, -(-_mask_weight(full & ~mask, sizes) // k)) >= best:
             return
         if seen.get(mask, n + 1) <= depth:
             return
@@ -208,9 +204,7 @@ def exact_dksh(instance: DkshInstance) -> tuple[frozenset[int], int]:
     best_set: tuple[int, ...] = tuple(range(pick))
     best_weight = -1
     for combo in itertools.combinations(range(n), pick):
-        m = 0
-        for v in combo:
-            m |= 1 << v
+        m = _mask(combo)
         w = sum(
             weights[i] for i, em in enumerate(edge_masks) if em & ~m == 0
         )
@@ -223,6 +217,10 @@ def exact_dksh(instance: DkshInstance) -> tuple[frozenset[int], int]:
 def exact_bpcc(instance: BpccInstance) -> tuple[list[frozenset[int]], int]:
     """Optimal clustered bin packing: clusters pack independently, so the
     optimum is the sum of per-cluster exact bin packing solutions."""
+    if max(map(len, instance.clusters), default=0) > BPCC_MAX_CLUSTER:
+        raise SizeGuardError(
+            f"exact clustered bin packing is limited to {BPCC_MAX_CLUSTER} items per cluster"
+        )
     cover: list[frozenset[int]] = []
     for group in instance.clusters:
         cover.extend(_pack_cluster(group, instance.weight, instance.capacity))
@@ -236,7 +234,7 @@ def _pack_cluster(
     items = list(group)
     n = len(items)
     full = (1 << n) - 1
-    w = [weight[v] for v in items]
+    load = _subset_table([weight[v] for v in items])
     best: dict[int, tuple[int, Optional[tuple[int, int]]]] = {0: (0, None)}
     frontier = [0]
     while full not in best:
@@ -246,7 +244,7 @@ def _pack_cluster(
             v = (rest & -rest).bit_length() - 1
             sub = rest
             while sub:
-                if sub >> v & 1 and _mask_weight(sub, w) <= k:
+                if sub >> v & 1 and load[sub] <= k:
                     new = mask | sub
                     if new not in best:
                         best[new] = (best[mask][0] + 1, (mask, sub))
@@ -265,6 +263,15 @@ def _pack_cluster(
         state = prev
     bins.reverse()
     return bins
+
+
+def _subset_table(values, combine=operator.add) -> list:
+    """The list whose entry ``[mask]`` combines ``values[i]`` over the set
+    bits of ``mask`` (0 for the empty mask), built by doubling."""
+    table = [0]
+    for x in values:
+        table += [combine(t, x) for t in table]
+    return table
 
 
 def _mask_weight(mask: int, w: list[int]) -> int:
@@ -376,24 +383,18 @@ def _rcp_component_subsets(
 ) -> tuple[frozenset[int], int]:
     """Every closed component subset, so the canonical optimum is among them."""
     c = len(comps)
-    pred_masks = [_mask(p) for p in pred_comps]
+    preds_of = _subset_table(map(_mask, pred_comps), operator.or_)
+    size_of = _subset_table(comp_size)
+    profit_of = _subset_table(comp_profit)
     best_profit = -1
     best_vertices: tuple[int, ...] = ()
     for mask in range(1 << c):
-        size = 0
-        profit = 0
-        closed = True
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            if pred_masks[i] & ~mask:
-                closed = False
-                break
-            size += comp_size[i]
-            profit += comp_profit[i]
-            m &= m - 1
-        if not closed or size > instance.budget or profit < best_profit:
+        profit = profit_of[mask]
+        if (
+            preds_of[mask] & ~mask
+            or size_of[mask] > instance.budget
+            or profit < best_profit
+        ):
             continue
         vertices = tuple(
             sorted(v for i in range(c) if mask >> i & 1 for v in comps[i])
@@ -422,27 +423,19 @@ def _rcp_sink_subsets(
     the maximum.
     """
     source_index = {s: i for i, s in enumerate(sources)}
-    sink_pred_masks = [
-        _mask(source_index[p] for p in pred_comps[s]) for s in sinks
-    ]
+    need_of = _subset_table(
+        (_mask(source_index[p] for p in pred_comps[s]) for s in sinks), operator.or_
+    )
+    profit_of = _subset_table(comp_profit[s] for s in sinks)
+    source_size = [comp_size[s] for s in sources]
     best_profit = -1
     best_vertices: tuple[int, ...] = ()
     for mask in range(1 << len(sinks)):
-        need = 0
-        profit = 0
-        card = 0
-        for j in range(len(sinks)):
-            if mask >> j & 1:
-                need |= sink_pred_masks[j]
-                profit += comp_profit[sinks[j]]
-                card += 1
+        profit = profit_of[mask]
         if profit < best_profit:
             continue
-        m = need
-        while m:
-            low = m & -m
-            card += comp_size[sources[low.bit_length() - 1]]
-            m &= m - 1
+        need = need_of[mask]
+        card = mask.bit_count() + _mask_weight(need, source_size)
         if card > instance.budget:
             continue
         members = [comps[sinks[j]][0] for j in range(len(sinks)) if mask >> j & 1]
@@ -493,21 +486,15 @@ def _rcp_source_subsets(
     )
     paying = [t for t in ranked if t[0] > 0]
     free = sorted((v, need) for p, need, v in ranked if p == 0)
+    size_of = _subset_table(comp_size[s] for s in sources)
+    profit_of = _subset_table(comp_profit[s] for s in sources)
     best_profit = -1
     best_vertices: tuple[int, ...] = ()
     for mask in range(1 << len(sources)):
-        size = 0
-        profit = 0
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            size += comp_size[sources[i]]
-            profit += comp_profit[sources[i]]
-            m &= m - 1
-        if size > instance.budget:
+        if size_of[mask] > instance.budget:
             continue
-        room = instance.budget - size
+        profit = profit_of[mask]
+        room = instance.budget - size_of[mask]
         taken: list[int] = []
         for p, need, v in paying:
             if room < 1:

@@ -22,7 +22,7 @@ edge lists are emitted in ascending order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .model import (
     BpccInstance,
@@ -73,7 +73,6 @@ def bpcc_to_ct(bpcc: BpccInstance) -> ReductionArtifact:
     size += bpcc.weight
     target = CtInstance(SizedOutTree(parent, size), 3 * k)
     params = {"m": m, "K": 3 * k}
-    assert params["K"] == 3 * k
     return ReductionArtifact("bpcc_to_ct", fingerprint(bpcc), bpcc, target, params)
 
 
@@ -133,7 +132,6 @@ def dksh_to_rcp(dksh: DkshInstance) -> ReductionArtifact:
     graph = Digraph(n * copies + m, edges)
     target = RcpInstance(graph, profit, c)
     params = {"m": m, "c": c}
-    assert params["c"] == dksh.budget * (m + 1) + m
     return ReductionArtifact("dksh_to_rcp", fingerprint(dksh), dksh, target, params)
 
 
@@ -239,7 +237,6 @@ def dks_to_urcp(graph: Digraph, k: int, m: int) -> ReductionArtifact:
         Digraph(n * width + len(und), arcs), [1] * (n * width + len(und)), h_m
     )
     params = {"m": m, "h_m": h_m, "k": k}
-    assert params["h_m"] == 2 * k * m + m
     return ReductionArtifact("dks_to_urcp", fingerprint_graph(graph), graph, target, params)
 
 
@@ -265,11 +262,7 @@ PIPELINE_MAX_VERTICES = 12
 PIPELINE_MAX_BUDGET = 6
 
 
-def dks_via_urcp(
-    graph: Digraph,
-    k: int,
-    oracle: Optional[Callable[[RcpInstance], tuple[frozenset[int], int]]] = None,
-) -> PipelineResult:
+def dks_via_urcp(graph: Digraph, k: int) -> PipelineResult:
     """Recover an exact densest k-subgraph through the uniform-profit solver.
 
     Tries every copy multiplier m up to k*(k-1)/2, solves each constructed
@@ -285,8 +278,6 @@ def dks_via_urcp(
             f"pipeline is limited to {PIPELINE_MAX_VERTICES} vertices "
             f"and budget {PIPELINE_MAX_BUDGET}"
         )
-    if oracle is None:
-        oracle = exact_rcp
     if k < 2:
         return PipelineResult(frozenset(range(min(k, n))), None)
     records: list[PipelineRecord] = []
@@ -295,7 +286,7 @@ def dks_via_urcp(
     best_solution: frozenset[int] = frozenset()
     for m in range(1, k * (k - 1) // 2 + 1):
         artifact = dks_to_urcp(graph, k, m)
-        solution, _ = oracle(artifact.target)
+        solution, _ = exact_rcp(artifact.target)
         first_edge_id = n * 2 * m
         hits = sum(1 for v in solution if v >= first_edge_id)
         records.append(PipelineRecord(m, hits, solution))
@@ -369,7 +360,6 @@ def degree_augment(rcp: RcpInstance) -> ReductionArtifact:
     k_i = rcp.budget * t
     target = RcpInstance(Digraph(n * t, arcs), profit, k_i)
     params = {"m": m, "l0": l0, "t": t, "k_I": k_i}
-    assert params["k_I"] == rcp.budget * t
     return ReductionArtifact(
         "degree_augment", fingerprint(rcp), rcp, target, params
     )

@@ -409,13 +409,15 @@ def roundtrip_dks_pipeline(graph: Digraph, k: int) -> RoundtripReport:
     und = reductions.undirected_edges(graph)
     fp = reductions.fingerprint_graph(graph) + f"/k{k}"
 
+    # dks_via_urcp's guard implies exact_dksh's, so a graph it refuses is never
+    # enumerated
+    result = reductions.dks_via_urcp(graph, k)
     if und:
         dks = DkshInstance(graph.vertex_count, [list(e) for e in und], [1] * len(und), k)
         _, optimum = exact.exact_dksh(dks)
     else:
         optimum = 0
 
-    result = reductions.dks_via_urcp(graph, k)
     induced = sum(1 for u, v in und if u in result.solution and v in result.solution)
     checks.append(("pipeline_matches_exact", induced == optimum))
     checks.append(("solution_within_budget", len(result.solution) <= k))

@@ -194,11 +194,15 @@ def test_roundtrip_command(capsys):
     assert all(line["status"] == "pass" for line in lines)
 
 
-def test_bench_command(capsys):
-    code, out, _ = run(capsys, "bench", "--count", "10", "--n-max", "8", "--k-max", "6")
+def test_solve_reports_a_guard_as_an_error_entry(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    doc = _doc("bpcc", clusters=[list(range(30))], weight=[1] * 30, k=4)
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "solve", str(path))
     assert code == 0
-    assert "approx total" in out
-    assert "exact  total" in out
+    line = json.loads(out.strip())
+    assert "cover" not in line
+    assert "limited to 18 items per cluster" in line["error"]
 
 
 def _doc(kind, **fields):

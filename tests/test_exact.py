@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pocover.exact import (
+    BPCC_MAX_CLUSTER,
+    RCP_MAX_MASK_BITS,
     SizeGuardError,
     enumerate_configurations,
     exact_bpcc,
@@ -330,6 +332,17 @@ def test_exact_rcp_guard():
         exact_rcp(RcpInstance(g, [1] * 50, 3))
 
 
+def test_exact_rcp_at_the_mask_ceiling():
+    # Edgeless: every vertex is its own component and a source, so each walk
+    # needs one mask bit per vertex.  Profits tie in threes.
+    n = RCP_MAX_MASK_BITS
+    inst = RcpInstance(Digraph(n, []), [v % 3 for v in range(n)], 5)
+    assert exact_rcp(inst) == (frozenset({2, 5, 8, 11, 14}), 10)
+    wider = RcpInstance(Digraph(n + 1, []), [1] * (n + 1), 5)
+    with pytest.raises(SizeGuardError):
+        exact_rcp(wider)
+
+
 def test_exact_rcp_guard_on_wide_two_layer_graph():
     # 42 components, 21 on each layer: every walk is over the mask ceiling.
     g = Digraph(42, [(i, 21 + i) for i in range(21)])
@@ -453,5 +466,22 @@ def test_exact_bpcc_matches_partition_scan(data):
     ]
     weight = [data.draw(st.integers(0, k)) for _ in range(n)]
     inst = BpccInstance(clusters, weight, k)
-    _, count = exact_bpcc(inst)
-    assert count == reference_bpcc(inst)
+    cover, count = exact_bpcc(inst)
+    assert count == len(cover) == reference_bpcc(inst)
+    assert sorted(v for group in cover for v in group) == list(range(n))
+    for group in cover:
+        assert any(group <= set(c) for c in clusters)
+        assert sum(weight[v] for v in group) <= k
+
+
+def test_exact_bpcc_guard():
+    # The limit is per cluster: two clusters at half the limit pack, one
+    # cluster over it is refused before any packing starts.
+    half = BPCC_MAX_CLUSTER // 2
+    split = BpccInstance(
+        [range(half), range(half, 2 * half)], [1] * (2 * half), 3
+    )
+    assert exact_bpcc(split)[1] == 2 * -(-half // 3)
+    one = BpccInstance([range(BPCC_MAX_CLUSTER + 1)], [1] * (BPCC_MAX_CLUSTER + 1), 3)
+    with pytest.raises(SizeGuardError):
+        exact_bpcc(one)
