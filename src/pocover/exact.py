@@ -17,6 +17,10 @@ reach it, the one with the lexicographically smallest sorted vertex tuple.
 Each walk reads a mask's size, profit and predecessors from tables with one
 entry per mask (``_subset_table``), so the ceiling bounds memory too: a
 2^20-mask walk peaks at about 45-120 MB.
+
+The tree-covering solver branches only on maximal configurations, and its
+enumeration walks only toward those, cutting each partial set that can no
+longer end maximal.
 """
 
 from __future__ import annotations
@@ -49,11 +53,17 @@ class SizeGuardError(ValueError):
 
 
 def enumerate_configurations(instance: CtInstance) -> list[Configuration]:
-    """All nonempty ancestor-closed vertex sets of size at most the capacity.
+    """All maximal configurations: nonempty ancestor-closed vertex sets within
+    the capacity that no further vertex (the root, or a member's child) fits.
 
-    Output is sorted by (cardinality, vertex tuple).  The search walks the
-    tree in an order where parents precede children, so the work is
-    proportional to the number of configurations rather than the power set.
+    Output is sorted by (cardinality, vertex tuple).  One depth-first walk
+    over the parents-first order leaves each vertex out, or takes it when its
+    parent is in and it fits.  It carries the set's size ``total`` and
+    ``skipped``, the least size of a vertex left out that could have joined:
+    a finished set is maximal iff ``total + skipped > k``.  ``skipped`` only
+    falls and the set gains at most the size still undecided, so a branch is
+    cut once ``total + remaining + skipped <= k``.  A zero-size star, with
+    2^(n-1) configurations and one maximal, takes O(n) steps.
     """
     tree, k = instance.tree, instance.capacity
     n = tree.vertex_count
@@ -61,23 +71,28 @@ def enumerate_configurations(instance: CtInstance) -> list[Configuration]:
         raise SizeGuardError(
             f"configuration enumeration is limited to {CONFIG_ENUM_MAX_VERTICES} vertices"
         )
+    order, parent, size = tree.order, tree.parent, tree.size
+    # remaining[i]: the total size of order[i:].
+    remaining = list(itertools.accumulate(size[v] for v in reversed(order)))[::-1] + [0]
     results: list[Configuration] = []
     chosen: set[int] = set()
 
-    def extend(i: int, total: int) -> None:
+    def extend(i: int, total: int, skipped: int) -> None:
+        if total + remaining[i] + skipped <= k:
+            return
         if i == n:
             if chosen:
                 results.append(frozenset(chosen))
             return
-        v = tree.order[i]
-        extend(i + 1, total)
-        p = tree.parent[v]
-        if (p is None or p in chosen) and total + tree.size[v] <= k:
+        v = order[i]
+        eligible = parent[v] is None or parent[v] in chosen
+        extend(i + 1, total, min(skipped, size[v]) if eligible else skipped)
+        if eligible and total + size[v] <= k:
             chosen.add(v)
-            extend(i + 1, total + tree.size[v])
+            extend(i + 1, total + size[v], skipped)
             chosen.remove(v)
 
-    extend(0, 0)
+    extend(0, 0, k + 1)
     results.sort(key=lambda s: (len(s), tuple(sorted(s))))
     return results
 
@@ -86,9 +101,11 @@ def exact_ct(instance: CtInstance) -> Cover:
     """A minimum-cardinality cover, by branch-and-bound over coverage masks.
 
     Only maximal configurations are branched on (any cover can be extended to
-    one using maximal sets of the same cardinality), the search always splits
-    on the lowest uncovered vertex, and subtrees are cut with the capacity
-    floor ceil(uncovered size / k) plus a seen-depth table.
+    one using maximal sets of the same cardinality).  The tie-breaks read
+    their sorted order, so the cover does not depend on how they were found.
+    The search always splits on the lowest uncovered vertex, and subtrees are
+    cut with the capacity floor ceil(uncovered size / k) plus a seen-depth
+    table.
     """
     tree, k = instance.tree, instance.capacity
     n = tree.vertex_count
@@ -96,8 +113,7 @@ def exact_ct(instance: CtInstance) -> Cover:
         raise SizeGuardError(
             f"exact tree covering is limited to {EXACT_CT_MAX_VERTICES} vertices"
         )
-    configs = enumerate_configurations(instance)
-    maximal = _maximal_only(instance, configs)
+    maximal = enumerate_configurations(instance)
     masks = [_mask(c) for c in maximal]
     full = (1 << n) - 1
     reach = 0
@@ -288,24 +304,6 @@ def _mask(vertices) -> int:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def _maximal_only(
-    instance: CtInstance, configs: list[Configuration]
-) -> list[Configuration]:
-    tree, k = instance.tree, instance.capacity
-    out = []
-    for c in configs:
-        total = sum(tree.size[v] for v in c)
-        extendable = any(
-            v not in c
-            and (tree.parent[v] is None or tree.parent[v] in c)
-            and total + tree.size[v] <= k
-            for v in range(tree.vertex_count)
-        )
-        if not extendable:
-            out.append(c)
-    return out
 
 
 def _greedy_cover(masks: list[int], full: int) -> list[int]:

@@ -142,25 +142,23 @@ def _gen_out_tree(spec: GenSpec, rng: SplitMix64) -> CtInstance:
     never finds a forced or infeasible path."""
     lo, hi = spec.shape.get("size_range", (0, spec.k))
     max_children = spec.shape.get("max_children")
-    takes_children = max_children is None or max_children > 0
+    if spec.n > 1 and max_children is not None and max_children < 1:
+        raise GenerationError(
+            f"shape field 'max_children' must be at least 1 when n > 1, not {max_children}"
+        )
     for _ in range(_RETRIES):
         parent: list[int | None] = [None]
         child_count = [0] * spec.n
         # The earlier vertices with room for a child, in ascending order.
-        eligible = [0] if takes_children else []
+        eligible = [0]
         for v in range(1, spec.n):
-            if not eligible:
-                break
             i = rng.randrange(len(eligible))
             p = eligible[i]
             parent.append(p)
             child_count[p] += 1
             if child_count[p] == max_children:
                 del eligible[i]
-            if takes_children:
-                eligible.append(v)
-        if len(parent) < spec.n:
-            continue
+            eligible.append(v)
         depth_budget = [0] * spec.n
         size = [0] * spec.n
         ok = True

@@ -353,6 +353,7 @@ def test_unreadable_input_file_exits_two(tmp_path, capsys, argv, target):
         ["--kind", "bpcc", "--shape", '{"cluster_count": true}'],
         ["--kind", "bp_star", "--shape", '{"items": 3}'],
         ["--kind", "bp_star", "--shape", '{"items": ["a"]}'],
+        ["--n", "5", "--shape", '{"max_children": 0}'],
     ],
 )
 def test_malformed_shape_exits_two(capsys, argv):

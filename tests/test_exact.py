@@ -1,9 +1,12 @@
+import hashlib
+import json
 from collections import deque
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pocover import exact
 from pocover.exact import (
     BPCC_MAX_CLUSTER,
     RCP_MAX_MASK_BITS,
@@ -14,6 +17,7 @@ from pocover.exact import (
     exact_dksh,
     exact_rcp,
 )
+from pocover.generate import GenSpec, SplitMix64, generate
 from pocover.model import (
     BpccInstance,
     CtInstance,
@@ -24,6 +28,8 @@ from pocover.model import (
     closure,
     validate_configuration,
 )
+from pocover.reductions import bpcc_to_ct
+from pocover.serialize import dumps_instance
 from pocover.treecover import InfeasibleInstance
 
 
@@ -47,11 +53,12 @@ def test_enumerate_examples():
     assert enumerate_configurations(single) == [frozenset({0})]
 
     star = CtInstance(SizedOutTree([None, 0, 0], [0, 3, 3]), 6)
-    assert enumerate_configurations(star) == [
-        frozenset({0}),
+    assert enumerate_configurations(star) == [frozenset({0, 1, 2})]
+
+    tight_star = CtInstance(SizedOutTree([None, 0, 0], [0, 3, 3]), 5)
+    assert enumerate_configurations(tight_star) == [
         frozenset({0, 1}),
         frozenset({0, 2}),
-        frozenset({0, 1, 2}),
     ]
 
     chain = CtInstance(SizedOutTree([None, 0], [1, 2]), 2)
@@ -64,17 +71,38 @@ def test_enumerate_guard():
         enumerate_configurations(inst)
 
 
+def test_enumerate_zero_star_at_the_guard():
+    """2^19 configurations, one of them maximal: the walk yields only it."""
+    inst = CtInstance(SizedOutTree([None] + [0] * 19, [0] * 20), 1)
+    assert enumerate_configurations(inst) == [frozenset(range(20))]
+
+
+def maximal_configurations(instance):
+    """Reference: the configurations that no single further vertex extends
+    to another configuration."""
+    n = instance.tree.vertex_count
+    return [
+        c
+        for c in powerset_configurations(instance)
+        if all(
+            validate_configuration(instance, c | {v}) is not None
+            for v in range(n)
+            if v not in c
+        )
+    ]
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_enumerate_matches_powerset_filter(data):
-    n = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 10))
     k = data.draw(st.integers(1, 6))
     parent = [None] + [
         data.draw(st.integers(0, i - 1)) for i in range(1, n)
     ]
-    size = [data.draw(st.integers(0, k)) for _ in range(n)]
+    size = [data.draw(st.one_of(st.just(0), st.integers(0, k))) for _ in range(n)]
     inst = CtInstance(SizedOutTree(parent, size), k)
-    assert enumerate_configurations(inst) == powerset_configurations(inst)
+    assert enumerate_configurations(inst) == maximal_configurations(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +114,7 @@ def reference_min_cover_size(instance):
     all configurations as moves."""
     n = instance.tree.vertex_count
     masks = []
-    for c in enumerate_configurations(instance):
+    for c in powerset_configurations(instance):
         m = 0
         for v in c:
             m |= 1 << v
@@ -145,6 +173,63 @@ def test_exact_ct_matches_mask_bfs(data):
             exact_ct(inst)
     else:
         assert len(exact_ct(inst)) == reference
+
+
+def test_exact_ct_enumerates_once_through_the_module(monkeypatch, star4):
+    """The benchmark's traced run expects an ``exact.enumerate_configurations``
+    span under ``exact_ct``, so the call must go through the module."""
+    calls = []
+    inner = exact.enumerate_configurations
+
+    def counting(instance):
+        calls.append(instance)
+        return inner(instance)
+
+    monkeypatch.setattr(exact, "enumerate_configurations", counting)
+    exact_ct(star4)
+    assert calls == [star4]
+
+
+def _ct_digest_corpus():
+    """(label, instance): zero-heavy random trees with n <= 14, zero stars,
+    zero and unit paths, one tree over the guard, and the trees of
+    ``bpcc_to_ct``."""
+    rng = SplitMix64(8)
+    for _ in range(1500):
+        n = 1 + rng.randrange(14)
+        k = 1 + rng.randrange(9)
+        top = 1 + rng.randrange(k)
+        parent = [None] + [rng.randrange(i) for i in range(1, n)]
+        size = [0 if rng.randrange(3) else rng.randint(1, top) for _ in range(n)]
+        yield "random", CtInstance(SizedOutTree(parent, size), k)
+    for n in range(1, 15):
+        for k in (1, 3):
+            star = [None] + [0] * (n - 1)
+            path = [None] + list(range(n - 1))
+            yield "zero_star", CtInstance(SizedOutTree(star, [0] * n), k)
+            yield "zero_path", CtInstance(SizedOutTree(path, [0] * n), k)
+            yield "unit_path", CtInstance(SizedOutTree(path, [1] * n), k)
+    yield "over_guard", CtInstance(SizedOutTree([None] + [0] * 18, [0] * 19), 1)
+    for seed in range(60):
+        spec = GenSpec("bpcc", n=2 + seed % 9, k=2 + seed % 5, seed=seed,
+                       shape={"cluster_count": 1 + seed % 3})
+        yield "bpcc_to_ct", bpcc_to_ct(generate(spec)).target
+
+
+def test_exact_ct_digest_on_seeded_corpus():
+    """``exact_ct`` covers, set order included, or the exception type and
+    message, hashed over a seeded corpus.  The digest changes only with a
+    deliberate change of output, which CHANGES.md records together with the
+    new value."""
+    digest = hashlib.sha256()
+    for label, inst in _ct_digest_corpus():
+        line = [label, dumps_instance(inst)]
+        try:
+            line.append([sorted(c) for c in exact_ct(inst)])
+        except (InfeasibleInstance, SizeGuardError) as exc:
+            line.append([type(exc).__name__, str(exc)])
+        digest.update(json.dumps(line).encode() + b"\n")
+    assert digest.hexdigest() == "5004b3527359aceb66a08bab5e3d3b27321f5ab68f2b31b703363814b8e43539"
 
 
 # ---------------------------------------------------------------------------

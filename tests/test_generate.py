@@ -83,6 +83,17 @@ def test_out_tree_max_children():
     assert all(len(c) <= 1 for c in inst.tree.children)
 
 
+def test_out_tree_childless_shape():
+    """With no children allowed only a single vertex can be built; a larger n
+    fails at once, naming the field."""
+    for max_children in (0, -1):
+        shape = {"max_children": max_children}
+        single = generate(GenSpec(kind="out_tree", n=1, k=3, seed=5, shape=shape))
+        assert single.tree.vertex_count == 1
+        with pytest.raises(GenerationError, match="max_children"):
+            generate(GenSpec(kind="out_tree", n=2, k=3, seed=5, shape=shape))
+
+
 def test_out_tree_unsatisfiable_range():
     with pytest.raises(GenerationError):
         generate(

@@ -461,7 +461,7 @@ def test_output_digest_on_seeded_corpus():
                     [b.lower, b.upper, b.alpha],
                 ]
         digest.update(json.dumps(line, sort_keys=True).encode() + b"\n")
-    assert digest.hexdigest() == "fc6c20dfeac7bc07ba6c2d5ac39b8b08c235e2ff37930831a66bb1784b68d70d"
+    assert digest.hexdigest() == "140faf72fe3bb1f609d94e36d3f18881646ff5a792d7c0a5dba28d4708c2c618"
 
 
 def _random_tree_n10000():
