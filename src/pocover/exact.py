@@ -128,10 +128,9 @@ def exact_ct(instance: CtInstance) -> Cover:
     sizes = tree.size
     total = sum(sizes)
     covering: list[list[int]] = [[] for _ in range(n)]
-    for i, m in enumerate(masks):
-        for v in range(n):
-            if m >> v & 1:
-                covering[v].append(i)
+    for i, c in enumerate(maximal):
+        for v in c:
+            covering[v].append(i)
 
     incumbent = _greedy_cover(masks, full)
     best = len(incumbent)

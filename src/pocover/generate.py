@@ -146,6 +146,10 @@ def _gen_out_tree(spec: GenSpec, rng: SplitMix64) -> CtInstance:
         raise GenerationError(
             f"shape field 'max_children' must be at least 1 when n > 1, not {max_children}"
         )
+    if lo > min(hi, spec.k - 1):
+        raise GenerationError(
+            f"shape field 'size_range' ({lo}, {hi}) leaves no root size below capacity {spec.k}"
+        )
     for _ in range(_RETRIES):
         parent: list[int | None] = [None]
         child_count = [0] * spec.n
@@ -196,6 +200,8 @@ def _gen_bp_star(spec: GenSpec, rng: SplitMix64) -> CtInstance:
 
 def _gen_rcp(spec: GenSpec, rng: SplitMix64, acyclic: bool) -> RcpInstance:
     density = float(spec.shape.get("edge_density", 0.3))
+    if not 0 <= density <= 1:
+        raise GenerationError(f"shape field 'edge_density' must be in [0, 1], not {density}")
     plo, phi = spec.shape.get("profit_range", (0, 10))
     threshold = int(density * (_MASK64 + 1))
     edges = []
@@ -211,6 +217,8 @@ def _gen_rcp(spec: GenSpec, rng: SplitMix64, acyclic: bool) -> RcpInstance:
 
 def _gen_hypergraph(spec: GenSpec, rng: SplitMix64) -> DkshInstance:
     num_edges = spec.shape.get("num_edges", max(1, spec.n // 2))
+    if num_edges < 0:
+        raise GenerationError(f"shape field 'num_edges' must be at least 0, not {num_edges}")
     alo, ahi = spec.shape.get("arity_range", (1, min(3, spec.n)))
     wlo, whi = spec.shape.get("weight_range", (0, 5))
     if alo < 1 or ahi > spec.n or alo > ahi:

@@ -38,9 +38,10 @@ class InfeasibleInstance(Exception):
 class PreprocessResult:
     """Outcome of instance preprocessing.
 
-    ``reduced`` is None when preprocessing consumed the whole tree; otherwise
-    its vertices are relabelled densely and ``reduced_to_original[i]`` maps
-    them back.  ``forced`` and ``zero_leaves`` use original vertex ids.
+    ``reduced`` is None when preprocessing consumed the whole tree, and the
+    input instance itself when it peeled nothing; otherwise its vertices are
+    relabelled densely.  ``reduced_to_original[i]`` maps them back.
+    ``forced`` and ``zero_leaves`` use original vertex ids.
     """
 
     reduced: Optional[CtInstance]
@@ -160,6 +161,8 @@ def preprocess(instance: CtInstance) -> PreprocessResult:
     kept = tuple(sorted(alive))
     if not kept:
         return PreprocessResult(None, (), tuple(forced), tuple(zero_leaves))
+    if len(kept) == n:
+        return PreprocessResult(instance, kept, (), ())
     new_id = {old: i for i, old in enumerate(kept)}
     parent = [
         None if tree.parent[old] is None else new_id[tree.parent[old]]
@@ -179,21 +182,26 @@ def anchor_step(
     fits below their residual capacity, and the minimal violators (every child
     fits, the vertex itself does not).  Requires the active set to induce a
     rooted subtree of total size above the capacity, which guarantees at least
-    one anchor exists.
+    one anchor exists.  The active sets ``cover`` builds are rooted by
+    construction and skip the check that they are; every other input is
+    checked.
     """
     tree, k = instance.tree, instance.capacity
-    active = frozenset(active)
+    active = active if isinstance(active, frozenset) else frozenset(active)
     _require_rooted(tree, active)
-    if sum(tree.size[v] for v in active) <= k:
+    h, des, kids = _active_walk(tree, active)
+    if des[tree.root] + tree.size[tree.root] <= k:
         raise InputError("anchor_step requires active mass above the capacity")
-    h, des_size, kids = _active_walk(tree, active)
-    fitting = frozenset(v for v in active if des_size[v] <= k - h[v])
-    anchors = frozenset(
-        v
-        for v in active
-        if v not in fitting and all(c in fitting for c in kids[v])
-    )
-    return fitting, anchors
+    # Children come after their parent in the walk, so bottom-up every
+    # child's status is known before its parent's.
+    fitting: set[int] = set()
+    anchors: set[int] = set()
+    for v in reversed(h):
+        if des[v] <= k - h[v]:
+            fitting.add(v)
+        elif all(c in fitting for c in kids[v]):
+            anchors.add(v)
+    return frozenset(fitting), frozenset(anchors)
 
 
 def next_fit(
@@ -204,10 +212,11 @@ def next_fit(
     Every emitted set carries the full root path of ``a``; each child subtree
     lands whole in exactly one set or in the leftover.  If packing ends on an
     odd number of sets the last one is dropped so the result is always an even
-    count of at least two sets.
+    count of at least two sets.  As in ``anchor_step``, only the active sets
+    ``cover`` builds skip the check that the set is rooted.
     """
     tree, k = instance.tree, instance.capacity
-    active = frozenset(active)
+    active = active if isinstance(active, frozenset) else frozenset(active)
     _require_rooted(tree, active)
     if a not in active:
         raise InputError(f"anchor {a} is not active")
@@ -260,10 +269,11 @@ def cover(instance: CtInstance) -> CoverResult:
         to_orig = pre.reduced_to_original
         tree, k = red.tree, red.capacity
         h = _path_weights(tree)
-        active = frozenset(range(tree.vertex_count))
+        active = _rooted(tree, range(tree.vertex_count))
+        mass = sum(tree.size)
         iteration = 1
         leftover: dict[int, int] = {}  # reduced anchor id -> leftover size
-        while sum(tree.size[v] for v in active) > k:
+        while mass > k:
             _, anchors = anchor_step(red, active)
             covered: set[int] = set()
             for a in sorted(anchors):
@@ -284,11 +294,13 @@ def cover(instance: CtInstance) -> CoverResult:
                 covered.update(*nf.sets)
             # Ancestor closure of what is left; each walk stops at a taken vertex.
             nxt: set[int] = set()
+            mass = 0
             for v in active - covered:
                 while v is not None and v not in nxt:
                     nxt.add(v)
+                    mass += tree.size[v]
                     v = tree.parent[v]
-            active = frozenset(nxt)
+            active = _rooted(tree, nxt)
             iteration += 1
             if iteration > tree.vertex_count + 1:
                 raise AssertionError("cover loop failed to make progress")
@@ -372,9 +384,24 @@ def _path_weights(tree: SizedOutTree) -> list[int]:
     return h
 
 
+class _Rooted(frozenset):
+    """A vertex set closed under ancestors in ``tree``.  Only ``cover`` makes
+    one, from sets that are rooted by construction."""
+
+    __slots__ = ("tree",)
+
+
+def _rooted(tree: SizedOutTree, vertices: Iterable[int]) -> _Rooted:
+    out = _Rooted(vertices)
+    out.tree = tree
+    return out
+
+
 def _require_rooted(tree: SizedOutTree, active: frozenset[int]) -> None:
     if not active:
         raise InputError("active set must be nonempty")
+    if type(active) is _Rooted and active.tree is tree:
+        return
     for v in active:
         p = tree.parent[v]
         if p is not None and p not in active:

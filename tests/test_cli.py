@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -354,6 +355,8 @@ def test_unreadable_input_file_exits_two(tmp_path, capsys, argv, target):
         ["--kind", "bp_star", "--shape", '{"items": 3}'],
         ["--kind", "bp_star", "--shape", '{"items": ["a"]}'],
         ["--n", "5", "--shape", '{"max_children": 0}'],
+        ["--kind", "hypergraph", "--shape", '{"num_edges": -1}'],
+        ["--kind", "dag", "--shape", '{"edge_density": 2}'],
     ],
 )
 def test_malformed_shape_exits_two(capsys, argv):
@@ -361,3 +364,16 @@ def test_malformed_shape_exits_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("pocover: error: shape ")
+
+
+def test_impossible_size_range_exits_two_before_drawing(capsys):
+    """No root size can be drawn, so the generator gives up at once rather
+    than after its retries over 10^5-vertex trees."""
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "gen", "--kind", "out_tree", "--n", "100000", "--shape", '{"size_range": [5, 1]}'
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("pocover: error: shape field 'size_range'")

@@ -95,10 +95,16 @@ def test_out_tree_childless_shape():
 
 
 def test_out_tree_unsatisfiable_range():
-    with pytest.raises(GenerationError):
-        generate(
-            GenSpec(kind="out_tree", n=4, k=3, seed=0, shape={"size_range": (3, 3)})
-        )
+    """A size_range with no size below the capacity fails before any draw;
+    one that fits the root but no deeper vertex still uses its retries."""
+    for lo, hi, k in ((3, 3, 3), (5, 1, 100), (2, 9, 2)):
+        shape = {"size_range": (lo, hi)}
+        with pytest.raises(GenerationError, match="'size_range'"):
+            generate(GenSpec(kind="out_tree", n=4, k=k, seed=0, shape=shape))
+    with pytest.raises(GenerationError, match="could not satisfy"):
+        generate(GenSpec(kind="out_tree", n=4, k=3, seed=0, shape={"size_range": (2, 2)}))
+    single = generate(GenSpec(kind="out_tree", n=1, k=3, seed=0, shape={"size_range": (2, 2)}))
+    assert single.tree.size == (2,)
 
 
 def test_bp_star_explicit_items():
@@ -138,6 +144,22 @@ def test_hypergraph_shape():
     assert isinstance(inst, DkshInstance)
     assert len(inst.hyperedges) == 4
     assert all(2 <= len(e) <= 3 for e in inst.hyperedges)
+
+
+@pytest.mark.parametrize("kind", ["dag", "digraph"])
+def test_edge_density_outside_unit_interval(kind):
+    for density in (0, 1, 0.0, 1.0):
+        generate(GenSpec(kind=kind, n=4, k=2, seed=1, shape={"edge_density": density}))
+    for density in (-1, -0.1, 1.5, 2):
+        with pytest.raises(GenerationError, match="'edge_density'"):
+            generate(GenSpec(kind=kind, n=4, k=2, seed=1, shape={"edge_density": density}))
+
+
+def test_negative_num_edges():
+    inst = generate(GenSpec(kind="hypergraph", n=4, k=2, seed=1, shape={"num_edges": 0}))
+    assert inst.hyperedges == ()
+    with pytest.raises(GenerationError, match="'num_edges'"):
+        generate(GenSpec(kind="hypergraph", n=4, k=2, seed=1, shape={"num_edges": -1}))
 
 
 def test_bpcc_shape():

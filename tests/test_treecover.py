@@ -21,6 +21,7 @@ from pocover.treecover import (
     cover,
     next_fit,
     preprocess,
+    _rooted,
 )
 from pocover.verify import structural_checks
 
@@ -84,6 +85,17 @@ def test_preprocess_zero_root_survives():
     assert pre.zero_leaves == ()
 
 
+def test_preprocess_without_peeling_returns_the_input(star4):
+    generated = generate(
+        GenSpec("out_tree", n=200, k=1000, seed=3, shape={"size_range": (1, 60)})
+    )
+    for inst in (star4, generated):
+        pre = preprocess(inst)
+        assert pre.reduced == inst
+        assert pre.reduced_to_original == tuple(range(inst.tree.vertex_count))
+        assert pre.forced == () and pre.zero_leaves == ()
+
+
 def test_preprocess_postconditions_on_random_trees():
     rng = SplitMix64(2024)
     seen_forced = 0
@@ -134,9 +146,24 @@ def test_anchor_step_requires_heavy_active_set():
         anchor_step(inst, {0, 1})
 
 
+def _unrooted_active_sets(inst):
+    """Vertex sets of ``inst`` without its root, in forms that must not skip
+    the check that the active set is rooted."""
+    rest = range(1, inst.tree.vertex_count)
+    plain = frozenset(rest)
+    yield set(rest)
+    yield plain
+    cover(inst)
+    yield plain
+    # Tagged as rooted, but for an equal tree that is not this one.
+    twin = SizedOutTree(inst.tree.parent, inst.tree.size)
+    yield _rooted(twin, rest)
+
+
 def test_anchor_step_requires_ancestor_closed_active_set(star4):
-    with pytest.raises(InputError):
-        anchor_step(star4, {1, 2, 3, 4})
+    for active in _unrooted_active_sets(star4):
+        with pytest.raises(InputError, match="closed under ancestors"):
+            anchor_step(star4, active)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +188,13 @@ def test_next_fit_path_carried(chain3):
     result = next_fit(chain3, range(5), 1)
     assert result.sets == (frozenset({0, 1, 2}), frozenset({0, 1, 3}))
     assert result.leftover == {4}
+
+
+def test_next_fit_requires_ancestor_closed_active_set(chain4):
+    # Vertex 1 anchors chain4; without the root, packing would still succeed.
+    for active in _unrooted_active_sets(chain4):
+        with pytest.raises(InputError, match="closed under ancestors"):
+            next_fit(chain4, active, 1)
 
 
 def test_next_fit_rejects_non_anchor(star4):
@@ -464,8 +498,8 @@ def test_output_digest_on_seeded_corpus():
     assert digest.hexdigest() == "140faf72fe3bb1f609d94e36d3f18881646ff5a792d7c0a5dba28d4708c2c618"
 
 
-def _random_tree_n10000():
-    spec = GenSpec("out_tree", n=10_000, k=1000, seed=5, shape={"size_range": (1, 60)})
+def _random_tree_n30000():
+    spec = GenSpec("out_tree", n=30_000, k=1000, seed=5, shape={"size_range": (1, 60)})
     return generate(spec)
 
 
@@ -473,7 +507,7 @@ def _caterpillar_n999():
     return CtInstance(SizedOutTree(*_caterpillar(333, 1)), 10)
 
 
-@pytest.mark.parametrize("build", [_random_tree_n10000, _caterpillar_n999])
+@pytest.mark.parametrize("build", [_random_tree_n30000, _caterpillar_n999])
 def test_oracle_free_checks_at_scale(build):
     inst = build()
     result = cover(inst)
