@@ -113,7 +113,13 @@ def _jsonl_sink(out: Path | None):
             yield lambda doc: print(json.dumps(doc, sort_keys=True), file=fh)
 
 
+def _check_count(count: int, least: int) -> None:
+    if count < least:
+        raise InputError(f"--count must be at least {least}, got {count}")
+
+
 def _cmd_gen(args, emit) -> int:
+    _check_count(args.count, 1)
     docs = []
     for i in range(args.count):
         spec = GenSpec(
@@ -244,6 +250,7 @@ def _verify_corpus(seed: int, count: int, n_max: int, k_max: int):
 
 
 def _cmd_verify(args, emit) -> int:
+    _check_count(args.count, 0)
     if args.files:
         instances = [_load(p, CtInstance) for p in args.files]
     else:
@@ -271,6 +278,7 @@ def _cmd_verify(args, emit) -> int:
 
 
 def _cmd_roundtrip(args, emit) -> int:
+    _check_count(args.count, 0)
     kinds = reductions.REDUCTION_KINDS if args.kind == "all" else (args.kind,)
     lines = (
         (report, {"kind": kind, "instance": report.fingerprint})

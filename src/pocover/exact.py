@@ -321,52 +321,56 @@ def _greedy_cover(masks: list[int], full: int) -> list[int]:
 
 
 def _scc(graph: Digraph) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Strongly connected components, Kosaraju style, deterministically
-    ordered by smallest member."""
+    """Strongly connected components, Kosaraju style: a list of components
+    ordered by smallest member, each holding its members in ascending order,
+    and each vertex's component index.  O(V + E) time, with explicit stacks
+    rather than recursion."""
     n = graph.vertex_count
+    successors = graph.successors
     finish: list[int] = []
     seen = [False] * n
     for s in range(n):
         if seen[s]:
             continue
-        stack: list[tuple[int, int]] = [(s, 0)]
         seen[s] = True
+        stack = [(s, iter(successors[s]))]
         while stack:
-            v, i = stack[-1]
-            if i < len(graph.successors[v]):
-                stack[-1] = (v, i + 1)
-                w = graph.successors[v][i]
+            v, rest = stack[-1]
+            for w in rest:
                 if not seen[w]:
                     seen[w] = True
-                    stack.append((w, 0))
+                    stack.append((w, iter(successors[w])))
+                    break
             else:
                 finish.append(v)
                 stack.pop()
 
-    comp_of = [-1] * n
-    comps: list[tuple[int, ...]] = []
+    predecessors = graph.predecessors
+    leader = [-1] * n
     for s in reversed(finish):
-        if comp_of[s] != -1:
+        if leader[s] != -1:
             continue
-        group = [s]
-        comp_of[s] = -2
+        leader[s] = s
         queue = [s]
         while queue:
             v = queue.pop()
-            for w in graph.predecessors[v]:
-                if comp_of[w] == -1:
-                    comp_of[w] = -2
-                    group.append(w)
+            for w in predecessors[v]:
+                if leader[w] == -1:
+                    leader[w] = s
                     queue.append(w)
-        idx = len(comps)
-        comps.append(tuple(sorted(group)))
-        for v in group:
-            comp_of[v] = idx
-    order = sorted(range(len(comps)), key=lambda i: comps[i][0])
-    relabel = {old: new for new, old in enumerate(order)}
-    comps = [comps[i] for i in order]
-    comp_of = [relabel[c] for c in comp_of]
-    return comps, comp_of
+
+    # An ascending scan meets every component first at its smallest member.
+    index = [-1] * n
+    groups: list[list[int]] = []
+    comp_of = [0] * n
+    for v in range(n):
+        c = index[leader[v]]
+        if c == -1:
+            c = index[leader[v]] = len(groups)
+            groups.append([])
+        groups[c].append(v)
+        comp_of[v] = c
+    return [tuple(g) for g in groups], comp_of
 
 
 def _rcp_component_subsets(

@@ -333,28 +333,27 @@ def degree_augment(rcp: RcpInstance) -> ReductionArtifact:
         raise InputError("degree reduction needs at least two vertices")
     m, l0, t = _gadget_dims(n)
 
-    def in_node(x: int, level: int, i: int) -> int:
-        return n + x * (t - 1) + (2**level - 2) + (i - 1)
-
-    def out_node(x: int, level: int, i: int) -> int:
-        return n + x * (t - 1) + (2 * m - 2) + (2**level - 2) + (i - 1)
-
+    # A level at depth d sits at offset 2**d - 2 of its tree; the out-tree
+    # starts 2m - 2 after the in-tree, and the leaf level (d = l0) at m - 2.
     arcs: list[tuple[int, int]] = []
     for x in range(n):
-        arcs.append((in_node(x, 1, 1), x))
-        arcs.append((in_node(x, 1, 2), x))
-        arcs.append((x, out_node(x, 1, 1)))
-        arcs.append((x, out_node(x, 1, 2)))
+        base = n + x * (t - 1)
+        out = base + 2 * m - 2
+        arcs += [(base, x), (base + 1, x), (x, out), (x, out + 1)]
         for level in range(1, l0):
-            for i in range(1, 2**level + 1):
-                arcs.append((in_node(x, level + 1, 2 * i - 1), in_node(x, level, i)))
-                arcs.append((in_node(x, level + 1, 2 * i), in_node(x, level, i)))
-                arcs.append((out_node(x, level, i), out_node(x, level + 1, 2 * i - 1)))
-                arcs.append((out_node(x, level, i), out_node(x, level + 1, 2 * i)))
-        for i in range(1, m + 1):
-            arcs.append((out_node(x, l0, i), in_node(x, l0, i)))
+            up = 2**level - 2
+            down = 2 * up + 2
+            for i in range(2**level):
+                arcs += [
+                    (base + down + 2 * i, base + up + i),
+                    (base + down + 2 * i + 1, base + up + i),
+                    (out + up + i, out + down + 2 * i),
+                    (out + up + i, out + down + 2 * i + 1),
+                ]
+        for i in range(m - 2, 2 * m - 2):
+            arcs.append((out + i, base + i))
     for x, y in rcp.graph.edges:
-        arcs.append((out_node(x, l0, y + 1), in_node(y, l0, x + 1)))
+        arcs.append((n + x * (t - 1) + 3 * m - 4 + y, n + y * (t - 1) + m - 2 + x))
 
     profit = list(rcp.profit) + [0] * (n * (t - 1))
     k_i = rcp.budget * t
@@ -373,6 +372,15 @@ def gadget_vertices(artifact: ReductionArtifact, x: int) -> frozenset[int]:
     t = artifact.parameters["t"]
     base = n + x * (t - 1)
     return frozenset({x} | set(range(base, base + t - 1)))
+
+
+def _gadget_owners(n: int, t: int) -> list[int]:
+    """``owner[v]`` is the original vertex whose gadget holds ``v``: ``v``
+    itself for ``v < n``, else ``(v - n) // (t - 1)``."""
+    owner = list(range(n))
+    for x in range(n):
+        owner += [x] * (t - 1)
+    return owner
 
 
 def augment_map(
@@ -395,10 +403,8 @@ def augment_map(
     if direction == "project":
         if len(members) > target.budget or not is_closed(target.graph, members):
             raise InputError("not a feasible closed selection")
-        n = rcp.graph.vertex_count
-        return frozenset(
-            x for x in range(n) if gadget_vertices(artifact, x) & members
-        )
+        owner = _gadget_owners(rcp.graph.vertex_count, artifact.parameters["t"])
+        return frozenset(owner[v] for v in members)
     raise InputError(f"unknown direction {direction!r}")
 
 

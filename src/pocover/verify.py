@@ -311,7 +311,6 @@ def roundtrip_degree_augment(rcp: RcpInstance) -> RoundtripReport:
     artifact = reductions.degree_augment(rcp)
     big: RcpInstance = artifact.target
     t = artifact.parameters["t"]
-    n = rcp.graph.vertex_count
 
     src_set, src_profit = exact.exact_rcp(rcp)
     big_set, big_profit = exact.exact_rcp(big)
@@ -338,65 +337,94 @@ def roundtrip_degree_augment(rcp: RcpInstance) -> RoundtripReport:
         )
     )
 
+    checks += _augment_structure_checks(artifact)
+    return RoundtripReport("degree_augment", fingerprint(rcp), tuple(checks), None)
+
+
+def _augment_structure_checks(artifact) -> list[tuple[str, bool]]:
+    """The claims of the degree reduction that need no oracle: degrees, size,
+    reachability among the originals, and strongly connected gadgets.
+    O(V + E) on the gadget graph, plus the reachability masks."""
+    big: RcpInstance = artifact.target
+    small: Digraph = artifact.source.graph
+    n = small.vertex_count
     indeg = [0] * big.graph.vertex_count
     outdeg = [0] * big.graph.vertex_count
     for u, v in big.graph.edges:
         outdeg[u] += 1
         indeg[v] += 1
-    checks.append(("degree_at_most_2", max(indeg) <= 2 and max(outdeg) <= 2))
-    checks.append(("size_formula", big.graph.vertex_count == n * t))
-    checks.append(("reachability_preserved", _reachability_match(rcp.graph, big.graph, n)))
-    checks.append(("gadgets_strongly_connected", _gadgets_connected(artifact)))
-    return RoundtripReport("degree_augment", fingerprint(rcp), tuple(checks), None)
+    return [
+        ("degree_at_most_2", max(indeg) <= 2 and max(outdeg) <= 2),
+        ("size_formula", big.graph.vertex_count == n * artifact.parameters["t"]),
+        ("reachability_preserved", _reachability_match(small, big.graph, n)),
+        ("gadgets_strongly_connected", _gadgets_connected(artifact)),
+    ]
 
 
 def _reachability_match(small: Digraph, big: Digraph, n: int) -> bool:
-    """Original x reaches original y in the gadget graph iff it did before."""
-    for x in range(n):
-        small_reach = _reachable(small, x)
-        big_reach = _reachable(big, x)
-        if {y for y in small_reach if y != x} != {
-            y for y in big_reach if y < n and y != x
-        }:
-            return False
-    return True
+    """Original x reaches original y in the gadget graph iff it did before.
+
+    One condensation and one walk of its DAG per graph: O(V + E) plus one
+    n-bit OR per arc between components."""
+    return _original_reach(small, n) == _original_reach(big, n)
 
 
-def _reachable(graph: Digraph, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in graph.successors[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+def _original_reach(graph: Digraph, n: int) -> list[int]:
+    """Bit y of entry x is set iff x reaches y (x itself included), for the
+    vertices x, y < n."""
+    comps, comp_of = exact._scc(graph)
+    reach = [0] * len(comps)
+    for v in range(n):
+        reach[comp_of[v]] |= 1 << v
+    below: list[list[int]] = [[] for _ in comps]
+    for u, v in graph.edges:
+        if comp_of[u] != comp_of[v]:
+            below[comp_of[u]].append(comp_of[v])
+    # Post-order DFS over the component DAG: a component is summed after
+    # every component it points to.
+    seen = [False] * len(comps)
+    for s in range(len(comps)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack = [(s, iter(below[s]))]
+        while stack:
+            c, rest = stack[-1]
+            for d in rest:
+                if not seen[d]:
+                    seen[d] = True
+                    stack.append((d, iter(below[d])))
+                    break
+            else:
+                stack.pop()
+                for d in below[c]:
+                    reach[c] |= reach[d]
+    return [reach[comp_of[x]] for x in range(n)]
 
 
 def _gadgets_connected(artifact) -> bool:
     """Every gadget (root included) is strongly connected using only its
-    internal edges."""
-    big: RcpInstance = artifact.target
-    rcp: RcpInstance = artifact.source
-    for x in range(rcp.graph.vertex_count):
-        gadget = reductions.gadget_vertices(artifact, x)
-        forward: dict[int, list[int]] = {v: [] for v in gadget}
-        backward: dict[int, list[int]] = {v: [] for v in gadget}
-        for u, v in big.graph.edges:
-            if u in gadget and v in gadget:
-                forward[u].append(v)
-                backward[v].append(u)
-        for adjacency in (forward, backward):
+    internal edges.
+
+    One forward and one backward search per gadget, each following only arcs
+    whose far end has the same owner: every vertex and edge is looked at a
+    constant number of times, O(V + E)."""
+    graph: Digraph = artifact.target.graph
+    n = artifact.source.graph.vertex_count
+    t = artifact.parameters["t"]
+    owner = reductions._gadget_owners(n, t)
+    for x in range(n):
+        for adjacency in (graph.successors, graph.predecessors):
             seen = {x}
             stack = [x]
             while stack:
                 v = stack.pop()
                 for w in adjacency[v]:
-                    if w not in seen:
+                    if owner[w] == x and w not in seen:
                         seen.add(w)
                         stack.append(w)
-            if seen != gadget:
+            # the search stays inside x's gadget, which has t vertices
+            if len(seen) != t:
                 return False
     return True
 

@@ -117,6 +117,39 @@ def test_gen_invalid_size_exits_two(capsys):
     assert err.count("\n") == 1 and "n must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, least",
+    [
+        (["gen", "--count", "0"], 1),
+        (["gen", "--count", "-1"], 1),
+        (["verify", "--count", "-1"], 0),
+        (["roundtrip", "--count", "-1"], 0),
+        (["roundtrip", "--kind", "degree_augment", "--count", "-5"], 0),
+    ],
+)
+def test_count_below_its_least_exits_two(capsys, argv, least):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"pocover: error: --count must be at least {least}, got ")
+
+
+def test_gen_count_zero_creates_nothing(tmp_path, capsys):
+    target = tmp_path / "t.json"
+    code, _, _ = run(capsys, "gen", "--count", "0", "--out", str(target))
+    assert code == 2
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "roundtrip"])
+def test_count_zero_is_an_empty_run(capsys, command):
+    code, out, err = run(capsys, command, "--count", "0")
+    assert code == 0
+    assert out == ""
+    assert "0 instances, 0 failures, 0 errors" in err
+
+
 def test_bounds_command(tmp_path, capsys):
     path = tmp_path / "t.json"
     run(capsys, "gen", "--kind", "bp_star", "--n", "3", "--k", "6",

@@ -435,6 +435,100 @@ def test_exact_rcp_guard_on_wide_two_layer_graph():
         exact_rcp(RcpInstance(g, [0] * 21 + [1] * 21, 3))
 
 
+def _kosaraju(graph):
+    """The two-pass Kosaraju that ``_scc`` replaced: a (vertex, index) tuple
+    per edge crossed, then a sort and a relabel by smallest member."""
+    n = graph.vertex_count
+    finish = []
+    seen = [False] * n
+    for s in range(n):
+        if seen[s]:
+            continue
+        stack = [(s, 0)]
+        seen[s] = True
+        while stack:
+            v, i = stack[-1]
+            if i < len(graph.successors[v]):
+                stack[-1] = (v, i + 1)
+                w = graph.successors[v][i]
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, 0))
+            else:
+                finish.append(v)
+                stack.pop()
+
+    comp_of = [-1] * n
+    comps = []
+    for s in reversed(finish):
+        if comp_of[s] != -1:
+            continue
+        group = [s]
+        comp_of[s] = -2
+        queue = [s]
+        while queue:
+            v = queue.pop()
+            for w in graph.predecessors[v]:
+                if comp_of[w] == -1:
+                    comp_of[w] = -2
+                    group.append(w)
+                    queue.append(w)
+        idx = len(comps)
+        comps.append(tuple(sorted(group)))
+        for v in group:
+            comp_of[v] = idx
+    order = sorted(range(len(comps)), key=lambda i: comps[i][0])
+    relabel = {old: new for new, old in enumerate(order)}
+    comps = [comps[i] for i in order]
+    comp_of = [relabel[c] for c in comp_of]
+    return comps, comp_of
+
+
+def test_scc_matches_kosaraju_on_seeded_digraphs():
+    # One 64-bit draw per vertex: its 6-bit field v decides the arc to v, kept
+    # with density 3, 10, 19 or 38 in 64.
+    rng = SplitMix64(20_000)
+    for _ in range(20_000):
+        n = 1 + rng.randrange(10)
+        density = (3, 10, 19, 38)[rng.randrange(4)]
+        arcs = []
+        for u in range(n):
+            word = rng.next_u64()
+            arcs += [(u, v) for v in range(n) if v != u and (word >> 6 * v) & 63 < density]
+        g = Digraph(n, arcs)
+        assert exact._scc(g) == _kosaraju(g), arcs
+
+
+def test_scc_matches_kosaraju_on_gadget_graphs():
+    from pocover.reductions import degree_augment
+
+    rng = SplitMix64(61)
+    for n in range(2, 13):
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.randrange(4) == 0]
+        big = degree_augment(RcpInstance(Digraph(n, arcs), [0] * n, 1)).target.graph
+        comps, comp_of = exact._scc(big)
+        assert (comps, comp_of) == _kosaraju(big)
+        # each gadget is strongly connected, so it is one component or inside one
+        assert len(comps) <= n
+        # without one arc the gadgets split
+        for _ in range(5):
+            edges = list(big.edges)
+            del edges[rng.randrange(len(edges))]
+            cut = Digraph(big.vertex_count, edges)
+            assert exact._scc(cut) == _kosaraju(cut)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_scc_walks_a_long_path_without_recursion(closed):
+    n = 10**5
+    arcs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)] * closed
+    comps, comp_of = exact._scc(Digraph(n, arcs))
+    if closed:
+        assert comps == [tuple(range(n))] and comp_of == [0] * n
+    else:
+        assert comps == [(v,) for v in range(n)] and comp_of == list(range(n))
+
+
 # ---------------------------------------------------------------------------
 # exact hypergraph selection
 

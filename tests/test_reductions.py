@@ -322,6 +322,22 @@ def test_augment_map_round_trip():
         augment_map(art, {1}, "lift")  # {y} is not closed
 
 
+def test_augment_project_names_the_owner_of_every_member():
+    from pocover.generate import SplitMix64
+
+    rng = SplitMix64(12)
+    for n in range(2, 10):
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.randrange(4) == 0]
+        art = degree_augment(RcpInstance(Digraph(n, arcs), [1] * n, n))
+        size = art.target.graph.vertex_count
+        for _ in range(6):
+            members = closure(art.target.graph, [rng.randrange(size)])
+            expected = {x for x in range(n) if gadget_vertices(art, x) & members}
+            assert augment_map(art, members, "project") == expected
+        with pytest.raises(InputError):
+            augment_map(art, {size}, "project")
+
+
 def test_augment_preserves_optimum_small():
     rcp = RcpInstance(Digraph(2, [(0, 1)]), [1, 5], 1)
     art = degree_augment(rcp)
