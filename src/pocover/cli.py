@@ -8,7 +8,7 @@ instances (infeasible input, oracle guard) are reported but do not fail the
 run.  Malformed input (``InputError``) and unsatisfiable generator shapes
 (``GenerationError``) end the run with a one-line message on stderr and exit
 code 2.  JSON-line results go to stdout, or with ``--out`` to a file that each
-run rewrites.
+run rewrites once it emits its first line or ends without error.
 """
 
 from __future__ import annotations
@@ -105,12 +105,25 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextmanager
 def _jsonl_sink(out: Path | None):
     """Yield ``emit(doc)``, which writes ``doc`` as one JSON line to stdout,
-    or to ``out`` (truncated first) when given."""
+    or to ``out`` when given.  ``out`` is rewritten at the first line, or
+    emptied by a run that ends without one; a run that raises before its
+    first line leaves it as it was."""
     if out is None:
         yield lambda doc: print(json.dumps(doc, sort_keys=True))
-    else:
-        with out.open("w") as fh:
-            yield lambda doc: print(json.dumps(doc, sort_keys=True), file=fh)
+        return
+    fh = None
+
+    def emit(doc) -> None:
+        nonlocal fh
+        fh = fh or out.open("w")
+        print(json.dumps(doc, sort_keys=True), file=fh)
+
+    try:
+        yield emit
+        fh = fh or out.open("w")
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 def _check_count(count: int, least: int) -> None:
@@ -228,11 +241,13 @@ def _cmd_reduce(args, emit) -> int:
         if args.kind == "dks_to_urcp":
             k = args.k if args.k is not None else instance.budget
             artifact = build(instance.graph, k, args.m)
+            source_fingerprint = reductions.fingerprint_graph(instance.graph)
         else:
             artifact = build(instance)
+            source_fingerprint = serialize.fingerprint(instance)
         doc = serialize.instance_to_doc(artifact.target)
         doc["reduction"] = artifact.kind
-        doc["source_fingerprint"] = artifact.source_summary
+        doc["source_fingerprint"] = source_fingerprint
         doc["parameters"] = artifact.parameters
         if args.emit_dot and i == 0:
             args.emit_dot.write_text(serialize.emit_dot(artifact.target))
@@ -257,9 +272,9 @@ def _cmd_verify(args, emit) -> int:
         instances = list(
             _verify_corpus(args.seed, args.count, args.n_max, args.k_max)
         )
-    reports = verify.run_verify(instances, with_exact=args.with_exact)
     lines = []
-    for instance, report in zip(instances, reports):
+    for instance in instances:
+        report = verify.verify_ct(instance, with_exact=args.with_exact)
         line = {
             "instance": report.fingerprint,
             "alg": report.alg_cardinality,

@@ -22,8 +22,6 @@ from .model import (
     SizedOutTree,
 )
 
-GEN_KINDS = ("out_tree", "bp_star", "dag", "digraph", "hypergraph", "bpcc")
-
 _MASK64 = (1 << 64) - 1
 _RETRIES = 100
 
@@ -114,24 +112,6 @@ class GenSpec:
             what, ok = _SHAPE_FIELDS.get(name, ("", lambda v: True))
             if not ok(value):
                 raise InputError(f"shape field {name!r} must be {what}")
-
-
-def generate(spec: GenSpec):
-    """Build the instance described by ``spec`` (same spec, same bytes)."""
-    rng = SplitMix64(spec.seed)
-    if spec.kind == "out_tree":
-        return _gen_out_tree(spec, rng)
-    if spec.kind == "bp_star":
-        return _gen_bp_star(spec, rng)
-    if spec.kind == "dag":
-        return _gen_rcp(spec, rng, acyclic=True)
-    if spec.kind == "digraph":
-        return _gen_rcp(spec, rng, acyclic=False)
-    if spec.kind == "hypergraph":
-        return _gen_hypergraph(spec, rng)
-    if spec.kind == "bpcc":
-        return _gen_bpcc(spec, rng)
-    raise InputError(f"unknown generator kind {spec.kind!r}")
 
 
 def _gen_out_tree(spec: GenSpec, rng: SplitMix64) -> CtInstance:
@@ -246,3 +226,20 @@ def _gen_bpcc(spec: GenSpec, rng: SplitMix64) -> BpccInstance:
         groups[target].append(v)
     weight = [rng.randint(wlo, min(whi, spec.k)) for _ in range(spec.n)]
     return BpccInstance(groups, weight, spec.k)
+
+
+# kind -> generator ``(spec, rng) -> instance``.
+GENERATORS = {
+    "out_tree": _gen_out_tree,
+    "bp_star": _gen_bp_star,
+    "dag": lambda spec, rng: _gen_rcp(spec, rng, acyclic=True),
+    "digraph": lambda spec, rng: _gen_rcp(spec, rng, acyclic=False),
+    "hypergraph": _gen_hypergraph,
+    "bpcc": _gen_bpcc,
+}
+GEN_KINDS = tuple(GENERATORS)
+
+
+def generate(spec: GenSpec):
+    """Build the instance described by ``spec`` (same spec, same bytes)."""
+    return GENERATORS[spec.kind](spec, SplitMix64(spec.seed))

@@ -104,9 +104,6 @@ class SizedOutTree:
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.vertex_count) if not self.children[v])
 
-    def total_size(self) -> int:
-        return sum(self.size)
-
 
 @dataclass(frozen=True)
 class CtInstance:
@@ -278,12 +275,6 @@ class BpccInstance:
     @property
     def item_count(self) -> int:
         return len(self.weight)
-
-    def cluster_of(self, item: int) -> int:
-        for i, g in enumerate(self.clusters):
-            if item in g:
-                return i
-        raise InputError(f"item {item} out of range")
 
 
 def path_weight(tree: SizedOutTree, v: int) -> int:

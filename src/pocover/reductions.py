@@ -46,7 +46,6 @@ class ReductionArtifact:
     handle on the source instance for the solution maps."""
 
     kind: str
-    source_summary: str
     source: object
     target: object
     parameters: dict[str, int]
@@ -73,7 +72,7 @@ def bpcc_to_ct(bpcc: BpccInstance) -> ReductionArtifact:
     size += bpcc.weight
     target = CtInstance(SizedOutTree(parent, size), 3 * k)
     params = {"m": m, "K": 3 * k}
-    return ReductionArtifact("bpcc_to_ct", fingerprint(bpcc), bpcc, target, params)
+    return ReductionArtifact("bpcc_to_ct", bpcc, target, params)
 
 
 def bpcc_map(
@@ -132,7 +131,7 @@ def dksh_to_rcp(dksh: DkshInstance) -> ReductionArtifact:
     graph = Digraph(n * copies + m, edges)
     target = RcpInstance(graph, profit, c)
     params = {"m": m, "c": c}
-    return ReductionArtifact("dksh_to_rcp", fingerprint(dksh), dksh, target, params)
+    return ReductionArtifact("dksh_to_rcp", dksh, target, params)
 
 
 def dksh_rcp_map(
@@ -179,9 +178,7 @@ def rcp_to_dksh(rcp: RcpInstance) -> ReductionArtifact:
     n = rcp.graph.vertex_count
     hyperedges = [closure(rcp.graph, [v]) for v in range(n)]
     target = DkshInstance(n, hyperedges, rcp.profit, rcp.budget)
-    return ReductionArtifact(
-        "rcp_to_dksh", fingerprint(rcp), rcp, target, {"n": n}
-    )
+    return ReductionArtifact("rcp_to_dksh", rcp, target, {"n": n})
 
 
 def minimalize(dksh: DkshInstance, solution) -> frozenset[int]:
@@ -237,10 +234,12 @@ def dks_to_urcp(graph: Digraph, k: int, m: int) -> ReductionArtifact:
         Digraph(n * width + len(und), arcs), [1] * (n * width + len(und)), h_m
     )
     params = {"m": m, "h_m": h_m, "k": k}
-    return ReductionArtifact("dks_to_urcp", fingerprint_graph(graph), graph, target, params)
+    return ReductionArtifact("dks_to_urcp", graph, target, params)
 
 
 def fingerprint_graph(graph: Digraph) -> str:
+    """The fingerprint of a bare digraph: that of a zero-profit, budget-1
+    instance on it."""
     return fingerprint(RcpInstance(graph, [0] * graph.vertex_count, 1))
 
 
@@ -359,9 +358,7 @@ def degree_augment(rcp: RcpInstance) -> ReductionArtifact:
     k_i = rcp.budget * t
     target = RcpInstance(Digraph(n * t, arcs), profit, k_i)
     params = {"m": m, "l0": l0, "t": t, "k_I": k_i}
-    return ReductionArtifact(
-        "degree_augment", fingerprint(rcp), rcp, target, params
-    )
+    return ReductionArtifact("degree_augment", rcp, target, params)
 
 
 def gadget_vertices(artifact: ReductionArtifact, x: int) -> frozenset[int]:

@@ -146,9 +146,9 @@ def trace_to_doc(trace) -> dict[str, Any]:
     }
 
 
-def emit_dot(instance: Instance, name: str = "instance") -> str:
+def emit_dot(instance: Instance) -> str:
     """Render the instance's graph in DOT for offline inspection."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph instance {"]
     if isinstance(instance, CtInstance):
         tree = instance.tree
         for v in range(tree.vertex_count):

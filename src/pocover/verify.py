@@ -17,7 +17,6 @@ infeasible, or beyond an oracle guard); it does not count as a failed check.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -37,23 +36,10 @@ from .serialize import fingerprint
 from .treecover import InfeasibleInstance, RunTrace, bounds, cover, preprocess
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Per-instance verdict of the approximation pipeline."""
+class _Checked:
+    """``passed`` and ``failed_checks`` over a report's ``checks`` tuple."""
 
-    fingerprint: str
-    alg_cardinality: Optional[int]
-    loop_and_residual: Optional[int]
-    exact_cardinality: Optional[int]
-    exact_reduced_cardinality: Optional[int]
-    lower: Optional[int]
-    upper: Optional[int]
-    alpha: Optional[int]
-    ratio: Optional[float]
     checks: tuple[tuple[str, bool], ...]
-    error: Optional[str]
-    alg_seconds: float
-    exact_seconds: float
 
     @property
     def passed(self) -> bool:
@@ -64,20 +50,30 @@ class VerifyReport:
 
 
 @dataclass(frozen=True)
-class RoundtripReport:
+class VerifyReport(_Checked):
+    """Per-instance verdict of the approximation pipeline.  The report of an
+    infeasible instance holds only its fingerprint and the error."""
+
+    fingerprint: str
+    alg_cardinality: Optional[int] = None
+    exact_cardinality: Optional[int] = None
+    exact_reduced_cardinality: Optional[int] = None
+    lower: Optional[int] = None
+    upper: Optional[int] = None
+    alpha: Optional[int] = None
+    ratio: Optional[float] = None
+    checks: tuple[tuple[str, bool], ...] = ()
+    error: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class RoundtripReport(_Checked):
     """Per-instance verdict of one reduction round trip."""
 
     kind: str
     fingerprint: str
     checks: tuple[tuple[str, bool], ...]
     error: Optional[str]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-    def failed_checks(self) -> list[str]:
-        return [name for name, ok in self.checks if not ok]
 
 
 def structural_checks(instance: CtInstance, result_cover, trace: RunTrace) -> list[tuple[str, bool]]:
@@ -137,26 +133,10 @@ def structural_checks(instance: CtInstance, result_cover, trace: RunTrace) -> li
 def verify_ct(instance: CtInstance, with_exact: bool = False) -> VerifyReport:
     """Run the pipeline on one instance and check every claimed property."""
     fp = fingerprint(instance)
-    start = time.perf_counter()
     try:
         result = cover(instance)
     except InfeasibleInstance as exc:
-        return VerifyReport(
-            fingerprint=fp,
-            alg_cardinality=None,
-            loop_and_residual=None,
-            exact_cardinality=None,
-            exact_reduced_cardinality=None,
-            lower=None,
-            upper=None,
-            alpha=None,
-            ratio=None,
-            checks=(),
-            error=f"infeasible: {exc}",
-            alg_seconds=time.perf_counter() - start,
-            exact_seconds=0.0,
-        )
-    alg_seconds = time.perf_counter() - start
+        return VerifyReport(fingerprint=fp, error=f"infeasible: {exc}")
     trace = result.trace
     b = bounds(trace, instance)
     loop_count = trace.loop_and_residual_count()
@@ -171,10 +151,8 @@ def verify_ct(instance: CtInstance, with_exact: bool = False) -> VerifyReport:
     exact_cardinality: Optional[int] = None
     exact_reduced: Optional[int] = None
     ratio: Optional[float] = None
-    exact_seconds = 0.0
     error: Optional[str] = None
     if with_exact:
-        start = time.perf_counter()
         try:
             exact_cardinality = len(exact.exact_ct(instance))
             pre = preprocess(instance)
@@ -184,7 +162,6 @@ def verify_ct(instance: CtInstance, with_exact: bool = False) -> VerifyReport:
                 exact_reduced = len(exact.exact_ct(pre.reduced))
         except exact.SizeGuardError as exc:
             error = f"oracle guard: {exc}"
-        exact_seconds = time.perf_counter() - start
         if exact_cardinality is not None and exact_reduced is not None:
             ratio = len(result.cover) / exact_cardinality if exact_cardinality else None
             checks.append(("ratio_at_most_2", len(result.cover) <= 2 * exact_cardinality))
@@ -194,7 +171,6 @@ def verify_ct(instance: CtInstance, with_exact: bool = False) -> VerifyReport:
     return VerifyReport(
         fingerprint=fp,
         alg_cardinality=len(result.cover),
-        loop_and_residual=loop_count,
         exact_cardinality=exact_cardinality,
         exact_reduced_cardinality=exact_reduced,
         lower=b.lower,
@@ -203,15 +179,7 @@ def verify_ct(instance: CtInstance, with_exact: bool = False) -> VerifyReport:
         ratio=ratio,
         checks=tuple(checks),
         error=error,
-        alg_seconds=alg_seconds,
-        exact_seconds=exact_seconds,
     )
-
-
-def run_verify(
-    instances: Iterable[CtInstance], with_exact: bool = False
-) -> list[VerifyReport]:
-    return [verify_ct(instance, with_exact) for instance in instances]
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +316,9 @@ def _augment_structure_checks(artifact) -> list[tuple[str, bool]]:
     big: RcpInstance = artifact.target
     small: Digraph = artifact.source.graph
     n = small.vertex_count
-    indeg = [0] * big.graph.vertex_count
-    outdeg = [0] * big.graph.vertex_count
-    for u, v in big.graph.edges:
-        outdeg[u] += 1
-        indeg[v] += 1
+    adjacency = big.graph.successors + big.graph.predecessors
     return [
-        ("degree_at_most_2", max(indeg) <= 2 and max(outdeg) <= 2),
+        ("degree_at_most_2", max(map(len, adjacency)) <= 2),
         ("size_formula", big.graph.vertex_count == n * artifact.parameters["t"]),
         ("reachability_preserved", _reachability_match(small, big.graph, n)),
         ("gadgets_strongly_connected", _gadgets_connected(artifact)),

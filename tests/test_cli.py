@@ -255,6 +255,17 @@ def _write(tmp_path, doc):
     return path
 
 
+# The fingerprint of each reduction's source: rcp_to_dksh and degree_augment
+# read the same file; dks_to_urcp names the digraph alone, so it differs.
+SOURCE_FINGERPRINTS = {
+    "bpcc_to_ct": "ee204f69a1b7",
+    "dksh_to_rcp": "b12dc6e7b273",
+    "rcp_to_dksh": "d953f21fafe8",
+    "dks_to_urcp": "ab7527f6cca4",
+    "degree_augment": "d953f21fafe8",
+}
+
+
 @pytest.mark.parametrize(
     "kind, source, extra, target_kind, parameters",
     [
@@ -274,6 +285,7 @@ def test_reduce_every_kind(tmp_path, capsys, kind, source, extra, target_kind, p
     assert doc["reduction"] == kind
     assert doc["kind"] == target_kind
     assert doc["parameters"] == parameters
+    assert doc["source_fingerprint"] == SOURCE_FINGERPRINTS[kind]
     doc_to_instance(doc)  # the artifact parses back as a plain instance
 
 
@@ -321,6 +333,23 @@ def test_out_file_is_rewritten_not_appended(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert all(json.loads(line)["file"] == str(path) for line in lines)
+
+
+def test_out_file_survives_runs_that_exit_two(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    out.write_text('{"kept": true}\n')
+    for argv in (["verify", "--count", "-1"], ["solve", str(tmp_path / "missing.json")]):
+        code, stdout, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert out.read_text() == '{"kept": true}\n'
+
+
+def test_out_file_of_an_empty_run_is_emptied(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    out.write_text("stale line\n")
+    code, _, _ = run(capsys, "verify", "--count", "0", "--out", str(out))
+    assert code == 0
+    assert out.read_text() == ""
 
 
 @pytest.mark.parametrize(

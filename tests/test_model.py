@@ -40,7 +40,6 @@ def test_tree_basic_queries():
     assert t.children[0] == (1, 2)
     assert t.leaves() == (2, 3)
     assert t.ancestors(3) == {0, 1, 3}
-    assert t.total_size() == 10
 
 
 def test_path_weight_examples():
@@ -191,5 +190,4 @@ def test_bpcc_instance_validation():
     with pytest.raises(InputError):
         BpccInstance([[0, 1]], [1, 5], 2)
     inst = BpccInstance([[0, 2], [1]], [1, 1, 1], 2)
-    assert inst.cluster_of(1) == 1
     assert inst.item_count == 3

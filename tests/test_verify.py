@@ -13,7 +13,6 @@ from pocover.verify import (
     roundtrip_dksh_to_rcp,
     roundtrip_rcp_to_dksh,
     run_roundtrip,
-    run_verify,
     structural_checks,
     verify_ct,
 )
@@ -52,8 +51,7 @@ def test_run_verify_batch():
         generate(GenSpec(kind="out_tree", n=1 + rng.randrange(10), k=1 + rng.randrange(8), seed=i))
         for i in range(50)
     ]
-    reports = run_verify(instances, with_exact=True)
-    assert len(reports) == 50
+    reports = [verify_ct(instance, with_exact=True) for instance in instances]
     assert all(r.passed for r in reports)
     assert all(r.error is None for r in reports)
 
@@ -311,6 +309,22 @@ def test_degree_checks_agree_with_the_oracles_on_corrupted_gadget_graphs():
     assert tally["internal"][2] == tally["internal"][0] > 90
     assert tally["cross_removed"][2] == tally["cross_added"][2] == 0
     assert tally["cross_removed"][1] > 0 and tally["cross_added"][1] > 0
+
+
+@pytest.mark.parametrize(
+    "extra, ok",
+    [([(0, 7)], False), ([(6, 0)], False), ([(0, 4), (0, 4)], True)],
+    ids=["third-out-arc", "third-in-arc", "duplicate-arc"],
+)
+def test_degree_at_most_2_counts_distinct_arcs_on_each_side(extra, ok):
+    # In the gadget graph of 0 -> 1 (t = 5), original 0 has the out-arcs
+    # (0, 4), (0, 5) and the in-arcs (2, 0), (3, 0); vertex 7 has one in-arc
+    # and vertex 6 one out-arc, so each of the first two cases raises one
+    # degree to 3; the duplicate of (0, 4) is merged.
+    artifact = reductions.degree_augment(RcpInstance(Digraph(2, [(0, 1)]), [1, 1], 1))
+    edges = list(artifact.target.graph.edges)
+    checks = dict(verify._augment_structure_checks(_with_target_edges(artifact, edges + extra)))
+    assert checks["degree_at_most_2"] is ok
 
 
 def test_degree_checks_at_scale():
