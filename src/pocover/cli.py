@@ -5,10 +5,11 @@ Subcommands: ``gen`` (seeded instances), ``solve`` (approximate or exact),
 (reduction artifacts), and ``verify`` / ``roundtrip`` (the property harness).
 The exit code is 0 iff no assertion failed; verification errors on individual
 instances (infeasible input, oracle guard) are reported but do not fail the
-run.  Malformed input (``InputError``) and unsatisfiable generator shapes
-(``GenerationError``) end the run with a one-line message on stderr and exit
-code 2.  JSON-line results go to stdout, or with ``--out`` to a file that each
-run rewrites once it emits its first line or ends without error.
+run.  Malformed input (``InputError``), unsatisfiable generator shapes
+(``GenerationError``) and output paths that cannot be written (``OSError``)
+end the run with a one-line message on stderr and exit code 2.  JSON-line
+results go to stdout, or with ``--out`` to a file that each run rewrites once
+it emits its first line or ends without error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ def main(argv=None) -> int:
             return args.handler(args, emit)
     except (InputError, GenerationError) as exc:
         print(f"pocover: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path that cannot be written
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        print(f"pocover: error: {reason}", file=sys.stderr)
         return 2
 
 

@@ -277,11 +277,6 @@ class BpccInstance:
         return len(self.weight)
 
 
-def path_weight(tree: SizedOutTree, v: int) -> int:
-    """Total size along the root-to-``v`` path, inclusive of ``v``."""
-    return sum(tree.size[u] for u in tree.ancestors(v))
-
-
 def closure(graph: Digraph, seed: Iterable[int]) -> frozenset[int]:
     """Smallest superset of ``seed`` with no incoming edges from outside.
 

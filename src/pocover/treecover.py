@@ -1,14 +1,17 @@
 """Two-approximate covering of sized out-trees.
 
-The solver works bottom-up.  Each round identifies *anchors*: vertices whose
-descendant mass no longer fits in the residual capacity below their root path,
-while every child's does.  The descendants of each anchor are packed next-fit
-into configurations that all carry the anchor's root path; if the packing ends
-on an odd set, the last set is dropped and its vertices are deferred to a later
-round.  The recorded run trace supports instance-specific lower and upper
-bounds on the optimal cover cardinality whose ratio never exceeds 2.
+The solver works bottom-up, in rounds.  In each round the *anchors* are the
+vertices whose active descendant mass no longer fits in the residual capacity
+below their root path, while every child's does.  The active child subtrees
+of each anchor are packed next-fit into configurations that all carry the
+anchor's root path; if the packing ends on an odd set, the last set is dropped
+and its vertices are deferred to a later round.  One post-order sweep
+(``anchor_step``) finds every anchor with its round and packing, and ``cover``
+emits their sets round by round.  The recorded run trace supports
+instance-specific lower and upper bounds on the optimal cover cardinality
+whose ratio never exceeds 2.
 
-Preprocessing peels three degenerate layers before the main loop: root paths
+Preprocessing peels three degenerate layers before the sweep: root paths
 heavier than the capacity (no cover exists), leaves whose root path exactly
 fills a configuration (that configuration is forced), and zero-size leaves
 (detached, then re-inserted into any set containing their parent).
@@ -18,16 +21,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .model import (
-    Configuration,
-    Cover,
-    CtInstance,
-    InputError,
-    SizedOutTree,
-    path_weight,
-)
+from .model import Configuration, Cover, CtInstance, SizedOutTree
 
 
 class InfeasibleInstance(Exception):
@@ -83,7 +79,7 @@ class RunTrace:
     zero_leaf_attachments: dict[int, int]
 
     def loop_and_residual_count(self) -> int:
-        """Number of cover sets emitted by the main loop plus the residual."""
+        """Number of cover sets emitted by the anchors plus the residual."""
         emitted = sum(len(rec.emitted_sets) for rec in self.anchors)
         return emitted + (1 if self.final_residual is not None else 0)
 
@@ -99,13 +95,6 @@ class Bounds:
     lower: int
     upper: int
     alpha: int
-
-
-@dataclass(frozen=True)
-class NextFitResult:
-    sets: tuple[frozenset[int], ...]
-    anchored: frozenset[int]
-    leftover: frozenset[int]
 
 
 def preprocess(instance: CtInstance) -> PreprocessResult:
@@ -173,82 +162,111 @@ def preprocess(instance: CtInstance) -> PreprocessResult:
     return PreprocessResult(reduced, kept, tuple(forced), tuple(zero_leaves))
 
 
-def anchor_step(
-    instance: CtInstance, active: Iterable[int]
-) -> tuple[frozenset[int], frozenset[int]]:
-    """One round of anchor selection on the active vertex set.
+def anchor_step(instance: CtInstance) -> tuple[list[tuple], Optional[list[int]]]:
+    """Find every anchor of the run, its round and its packing, in one
+    post-order sweep over a preprocessed instance.
 
-    Returns ``(fitting, anchors)``: the vertices whose active descendant mass
-    fits below their residual capacity, and the minimal violators (every child
-    fits, the vertex itself does not).  Requires the active set to induce a
-    rooted subtree of total size above the capacity, which guarantees at least
-    one anchor exists.  The active sets ``cover`` builds are rooted by
-    construction and skip the check that they are; every other input is
-    checked.
+    Returns ``(fired, residual)``.  ``fired`` holds one tuple per anchor,
+    ``(round, anchor, sets, anchored, anchored_size, leftover_size, h)``:
+    the sets it emits as vertex lists that carry its root path, the vertices
+    those sets anchor, the anchored and the deferred mass, and the anchor's
+    root-path weight.  ``residual`` lists the vertices still active at the
+    end, or is None when none is.
+
+    The sweep visits each vertex after its children and keeps, for the state
+    after every anchor below it has fired, whether it is still active, the
+    active mass strictly below it and the latest round of an anchor at or
+    below it.  That is the state the round loop of the algorithm shows the
+    vertex when it could fire, because:
+
+    - fitting is monotone up the tree: the descendants of a vertex whose
+      active mass fits below its room fit too, and active mass only shrinks,
+      so a fitting vertex never fires later;
+    - the anchors of one round are never ancestors of each other, since every
+      child of an anchor fits, so they pack disjoint subtrees in any order;
+    - each vertex fires at most once: it defers at most one dropped bin,
+      whose mass fits its room;
+    - a vertex's round is 1 + the latest anchor round below it (1 if there is
+      none): nothing below it changes after that round, and then its children
+      all fit, so it fires exactly when its active children outweigh its room.
+
+    A fired vertex stays active only if it deferred children; any other
+    vertex stays active if it has active children or no anchor below it
+    fired.  Active children always carry positive mass, as preprocessing
+    removed the zero-size leaves.
     """
     tree, k = instance.tree, instance.capacity
-    active = active if isinstance(active, frozenset) else frozenset(active)
-    _require_rooted(tree, active)
-    h, des, kids = _active_walk(tree, active)
-    if des[tree.root] + tree.size[tree.root] <= k:
-        raise InputError("anchor_step requires active mass above the capacity")
-    # Children come after their parent in the walk, so bottom-up every
-    # child's status is known before its parent's.
-    fitting: set[int] = set()
-    anchors: set[int] = set()
-    for v in reversed(h):
-        if des[v] <= k - h[v]:
-            fitting.add(v)
-        elif all(c in fitting for c in kids[v]):
-            anchors.add(v)
-    return frozenset(fitting), frozenset(anchors)
-
-
-def next_fit(
-    instance: CtInstance, active: Iterable[int], a: int
-) -> NextFitResult:
-    """Pack the active child subtrees of anchor ``a`` next-fit.
-
-    Every emitted set carries the full root path of ``a``; each child subtree
-    lands whole in exactly one set or in the leftover.  If packing ends on an
-    odd number of sets the last one is dropped so the result is always an even
-    count of at least two sets.  As in ``anchor_step``, only the active sets
-    ``cover`` builds skip the check that the set is rooted.
-    """
-    tree, k = instance.tree, instance.capacity
-    active = active if isinstance(active, frozenset) else frozenset(active)
-    _require_rooted(tree, active)
-    if a not in active:
-        raise InputError(f"anchor {a} is not active")
-    kids = [u for u in tree.children[a] if u in active]
-    subtrees = [_active_subtree(tree, active, u) for u in kids]
-    h_a = path_weight(tree, a)
-    if sum(sub_size for _, sub_size in subtrees) <= k - h_a:
-        raise InputError(f"vertex {a} is not an anchor: its descendants fit")
-    path = tree.ancestors(a)
-
-    sets: list[frozenset[int]] = []
-    current = set(path)
-    current_size = h_a
-    for u, (sub, sub_size) in zip(kids, subtrees):
-        if h_a + sub_size > k:
-            raise InputError(f"child {u} of anchor {a} does not fit; not an anchor")
-        if current_size + sub_size <= k:
-            current |= sub
-            current_size += sub_size
+    parent, size, children = tree.parent, tree.size, tree.children
+    h = _path_weights(tree)
+    n = tree.vertex_count
+    active = [True] * n
+    below = [0] * n  # active mass strictly below the vertex
+    latest = [0] * n  # latest anchor round at or below the vertex
+    fired: list[tuple] = []
+    for v in reversed(tree.order):
+        room = k - h[v]
+        if below[v] > room:
+            live = [c for c in children[v] if active[c]]
+            masses = [size[c] + below[c] for c in live]
+            bins, dropped = next_fit(masses, room)
+            path = tree.ancestors(v)
+            sets: list[list[int]] = []
+            anchored: list[int] = []
+            for packed in bins:
+                q = list(path)
+                stack = [live[i] for i in packed]
+                for c in stack:
+                    active[c] = False
+                while stack:
+                    u = stack.pop()
+                    q.append(u)
+                    stack.extend([c for c in children[u] if active[c]])
+                anchored += q[len(path):]
+                sets.append(q)
+            leftover = sum(masses[i] for i in dropped)
+            latest[v] += 1  # one round after the latest anchor below it
+            fired.append((latest[v], v, sets, anchored, below[v] - leftover, leftover, h[v]))
+            below[v] = leftover
+            active[v] = bool(dropped)
         else:
-            sets.append(frozenset(current))
-            current = set(path) | sub
-            current_size = h_a + sub_size
-    sets.append(frozenset(current))
+            active[v] = below[v] > 0 or latest[v] == 0
+        p = parent[v]
+        if p is not None:
+            if active[v]:
+                below[p] += size[v] + below[v]
+            if latest[v] > latest[p]:
+                latest[p] = latest[v]
+    residual = None
+    if active[tree.root]:
+        residual = [tree.root]
+        for u in residual:
+            residual.extend([c for c in children[u] if active[c]])
+    return fired, residual
 
-    if len(sets) < 2:
-        raise InputError(f"vertex {a} is not an anchor: one set suffices")
-    leftover: frozenset[int] = frozenset()
-    if len(sets) % 2 == 1:
-        leftover = sets.pop() - path
-    anchored = frozenset().union(*sets) - path
-    return NextFitResult(tuple(sets), anchored, leftover)
+
+def next_fit(masses: list[int], room: int) -> tuple[list[list[int]], list[int]]:
+    """Pack items of the given masses, each at most ``room``, next-fit and in
+    order into bins of capacity ``room``.
+
+    Returns the kept bins as lists of item indices, and the items of the last
+    bin when the bins are odd in number: that bin is dropped, so the kept
+    bins always come in pairs, and any two bins 2j and 2j+1 together hold
+    more than ``room``.
+    """
+    bins: list[list[int]] = []
+    current: list[int] = []
+    load = 0
+    for i, m in enumerate(masses):
+        if load + m > room:
+            bins.append(current)
+            current = []
+            load = 0
+        current.append(i)
+        load += m
+    if current:
+        bins.append(current)
+    dropped = bins.pop() if len(bins) % 2 else []
+    return bins, dropped
 
 
 def cover(instance: CtInstance) -> CoverResult:
@@ -265,51 +283,31 @@ def cover(instance: CtInstance) -> CoverResult:
     alpha = 0
 
     if pre.reduced is not None:
-        red = pre.reduced
-        to_orig = pre.reduced_to_original
-        tree, k = red.tree, red.capacity
-        h = _path_weights(tree)
-        active = _rooted(tree, range(tree.vertex_count))
-        mass = sum(tree.size)
-        iteration = 1
+        to_orig = pre.reduced_to_original.__getitem__
+        fired, residual = anchor_step(pre.reduced)
+        fired.sort(key=lambda f: f[:2])
         leftover: dict[int, int] = {}  # reduced anchor id -> leftover size
-        while mass > k:
-            _, anchors = anchor_step(red, active)
-            covered: set[int] = set()
-            for a in sorted(anchors):
-                nf = next_fit(red, active, a)
-                first = len(cover_sets)
-                cover_sets.extend(frozenset(to_orig[v] for v in q) for q in nf.sets)
-                record = AnchorRecord(
-                    anchor=to_orig[a],
+        for iteration, a, sets, anchored, anchored_size, leftover_size, h in fired:
+            first = len(cover_sets)
+            cover_sets.extend(frozenset(map(to_orig, q)) for q in sets)
+            records.append(
+                AnchorRecord(
+                    anchor=to_orig(a),
                     iteration=iteration,
-                    h=h[a],
-                    anchored_size=sum(tree.size[v] for v in nf.anchored),
-                    leftover_size=sum(tree.size[v] for v in nf.leftover),
-                    anchored_vertices=frozenset(to_orig[v] for v in nf.anchored),
-                    emitted_sets=tuple(range(first, first + len(nf.sets))),
+                    h=h,
+                    anchored_size=anchored_size,
+                    leftover_size=leftover_size,
+                    anchored_vertices=frozenset(map(to_orig, anchored)),
+                    emitted_sets=tuple(range(first, len(cover_sets))),
                 )
-                records.append(record)
-                leftover[a] = record.leftover_size
-                covered.update(*nf.sets)
-            # Ancestor closure of what is left; each walk stops at a taken vertex.
-            nxt: set[int] = set()
-            mass = 0
-            for v in active - covered:
-                while v is not None and v not in nxt:
-                    nxt.add(v)
-                    mass += tree.size[v]
-                    v = tree.parent[v]
-            active = _rooted(tree, nxt)
-            iteration += 1
-            if iteration > tree.vertex_count + 1:
-                raise AssertionError("cover loop failed to make progress")
-        if active:
-            final_residual = frozenset(to_orig[v] for v in active)
+            )
+            leftover[a] = leftover_size
+        if residual is not None:
+            final_residual = frozenset(map(to_orig, residual))
             cover_sets.append(final_residual)
 
-        top_reduced, alpha = _parity_term(tree, leftover)
-        top_anchors = frozenset(to_orig[a] for a in top_reduced)
+        top_reduced, alpha = _parity_term(pre.reduced.tree, leftover)
+        top_anchors = frozenset(map(to_orig, top_reduced))
     else:
         top_anchors = frozenset()
 
@@ -382,62 +380,3 @@ def _path_weights(tree: SizedOutTree) -> list[int]:
         p = tree.parent[v]
         h[v] = tree.size[v] + (0 if p is None else h[p])
     return h
-
-
-class _Rooted(frozenset):
-    """A vertex set closed under ancestors in ``tree``.  Only ``cover`` makes
-    one, from sets that are rooted by construction."""
-
-    __slots__ = ("tree",)
-
-
-def _rooted(tree: SizedOutTree, vertices: Iterable[int]) -> _Rooted:
-    out = _Rooted(vertices)
-    out.tree = tree
-    return out
-
-
-def _require_rooted(tree: SizedOutTree, active: frozenset[int]) -> None:
-    if not active:
-        raise InputError("active set must be nonempty")
-    if type(active) is _Rooted and active.tree is tree:
-        return
-    for v in active:
-        p = tree.parent[v]
-        if p is not None and p not in active:
-            raise InputError("active set must be closed under ancestors")
-
-
-def _active_walk(
-    tree: SizedOutTree, active: frozenset[int]
-) -> tuple[dict[int, int], dict[int, int], dict[int, list[int]]]:
-    """Root-path weight, strict-descendant mass and child list of every vertex
-    of the rooted active subtree, from one walk down and back up."""
-    h: dict[int, int] = {}
-    kids: dict[int, list[int]] = {}
-    order = [tree.root]
-    for v in order:
-        p = tree.parent[v]
-        h[v] = tree.size[v] + (0 if p is None else h[p])
-        kids[v] = [c for c in tree.children[v] if c in active]
-        order.extend(kids[v])
-    des = dict.fromkeys(order, 0)
-    for v in reversed(order):
-        for c in kids[v]:
-            des[v] += des[c] + tree.size[c]
-    return h, des, kids
-
-
-def _active_subtree(
-    tree: SizedOutTree, active: frozenset[int], u: int
-) -> tuple[frozenset[int], int]:
-    """The active subtree below and including ``u``, and its mass."""
-    out = {u}
-    stack = [u]
-    while stack:
-        v = stack.pop()
-        for c in tree.children[v]:
-            if c in active:
-                out.add(c)
-                stack.append(c)
-    return frozenset(out), sum(tree.size[v] for v in out)

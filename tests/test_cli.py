@@ -353,6 +353,29 @@ def test_out_file_of_an_empty_run_is_emptied(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, bad, reason",
+    [
+        (["solve", "{ct}", "--out", "{dir}"], "{dir}", "Is a directory"),
+        (["solve", "{ct}", "--out", "{missing}"], "{missing}", "No such file or directory"),
+        (["gen", "--out", "{dir}"], "{dir}", "Is a directory"),
+        (["gen", "--count", "2", "--out", "{ct}"], "{ct}", "File exists"),
+        (["solve", "{ct}", "--emit-dot", "{dir}"], "{dir}", "Is a directory"),
+    ],
+)
+def test_unwritable_output_path_exits_two(tmp_path, capsys, argv, bad, reason):
+    paths = {
+        "ct": _write(tmp_path, CT),
+        "dir": tmp_path / "some_dir",
+        "missing": tmp_path / "missing" / "r.jsonl",
+    }
+    paths["dir"].mkdir()
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"pocover: error: {bad.format(**paths)}: {reason}\n"
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         _doc("ct", n=3, parent=[None, 0, 0], size=[0, 1, 1], k=1.5),

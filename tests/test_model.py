@@ -11,7 +11,6 @@ from pocover.model import (
     closure,
     contained_hyperedges,
     is_closed,
-    path_weight,
     validate_configuration,
     validate_cover,
 )
@@ -40,19 +39,6 @@ def test_tree_basic_queries():
     assert t.children[0] == (1, 2)
     assert t.leaves() == (2, 3)
     assert t.ancestors(3) == {0, 1, 3}
-
-
-def test_path_weight_examples():
-    assert path_weight(SizedOutTree([None], [0]), 0) == 0
-    assert path_weight(SizedOutTree([None, 0], [2, 3]), 1) == 5
-    # bin-packing star embedding: size-3 leaf under a zero-size root
-    star = SizedOutTree([None, 0, 0], [0, 3, 1])
-    assert path_weight(star, 1) == 3
-
-
-def test_path_weight_rejects_out_of_range():
-    with pytest.raises(InputError):
-        path_weight(SizedOutTree([None], [0]), 1)
 
 
 def test_ct_instance_invariants():
@@ -133,14 +119,11 @@ def sized_trees(max_n=8, max_size=6):
 @given(sized_trees())
 def test_tree_closure_is_ancestor_set(t):
     """Viewing the tree as a digraph with parent->child arcs, the predecessor
-    closure of a vertex is its ancestor set and its size sum is the path
-    weight."""
+    closure of a vertex is its ancestor set."""
     arcs = [(p, v) for v, p in enumerate(t.parent) if p is not None]
     g = Digraph(t.vertex_count, arcs)
     for v in range(t.vertex_count):
-        anc = closure(g, [v])
-        assert anc == t.ancestors(v)
-        assert sum(t.size[u] for u in anc) == path_weight(t, v)
+        assert closure(g, [v]) == t.ancestors(v)
 
 
 @pytest.fixture
