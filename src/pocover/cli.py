@@ -138,25 +138,24 @@ def _check_count(count: int, least: int) -> None:
 
 def _cmd_gen(args, emit) -> int:
     _check_count(args.count, 1)
-    docs = []
+    instances = []
     for i in range(args.count):
         spec = GenSpec(
             kind=args.kind, n=args.n, k=args.k, seed=args.seed + i, shape=args.shape
         )
-        instance = generate_instance(spec)
-        docs.append(serialize.instance_to_doc(instance))
+        instances.append(generate_instance(spec))
         if args.emit_dot and i == 0:
-            args.emit_dot.write_text(serialize.emit_dot(instance))
+            args.emit_dot.write_text(serialize.emit_dot(instances[0]))
     if args.target is None:
-        for doc in docs:
-            emit(doc)
+        for instance in instances:
+            emit(serialize.instance_to_doc(instance))
     elif args.count == 1:
-        args.target.write_text(json.dumps(docs[0], sort_keys=True, indent=1) + "\n")
+        args.target.write_text(serialize.dumps_instance(instances[0]))
     else:
         args.target.mkdir(parents=True, exist_ok=True)
-        for i, doc in enumerate(docs):
+        for i, instance in enumerate(instances):
             path = args.target / f"{args.kind}_{args.seed + i}.json"
-            path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+            path.write_text(serialize.dumps_instance(instance))
     return 0
 
 

@@ -6,17 +6,18 @@ over cleverness.  Every solver carries an explicit size guard and raises
 rather than silently degrading.
 
 The profit-maximization solver works on the strongly-connected-component
-condensation and has three exhaustive walks: closed component subsets (2^c
-masks for c components), and, when the condensation is two-layered (source
-components feeding singleton sinks, the shape of the reduction gadgets in this
-package), sink subsets (2^|sinks|, only when no source carries profit) or
-source subsets (2^|sources|).  The walk with the fewest masks runs, up to a
-ceiling of 2^20 masks.  The answer does not depend on which one: every walk
-returns the maximum profit and, among the closed sets within the budget that
-reach it, the one with the lexicographically smallest sorted vertex tuple.
-Each walk reads a mask's size, profit and predecessors from tables with one
-entry per mask (``_subset_table``), so the ceiling bounds memory too: a
-2^20-mask walk peaks at about 45-120 MB.
+condensation, which ``_scc`` computes once per graph, in topological order,
+for it and the round-trip checks.  It has three exhaustive walks: closed
+component subsets (2^c masks for c components), and, when the condensation is
+two-layered (source components feeding singleton sinks, the shape of the
+reduction gadgets in this package), sink subsets (2^|sinks|, only when no
+source carries profit) or source subsets (2^|sources|).  The walk with the
+fewest masks runs, up to a ceiling of 2^20 masks.  The answer does not depend
+on which one: every walk returns the maximum profit and, among the closed sets
+within the budget that reach it, the one with the lexicographically smallest
+sorted vertex tuple.  Each walk reads a mask's size, profit and predecessors
+from tables with one entry per mask (``_subset_table``), so the ceiling bounds
+memory too: a 2^20-mask walk peaks at about 45-120 MB.
 
 The tree-covering solver branches only on maximal configurations, and its
 enumeration walks only toward those, cutting each partial set that can no
@@ -177,19 +178,15 @@ def exact_rcp(instance: RcpInstance) -> tuple[frozenset[int], int]:
     lexicographically smallest sorted vertex tuple among all closed sets
     within the budget.
     """
-    comps, comp_of = _scc(instance.graph)
+    comps, _, pred_comps = _scc(instance.graph)
     c = len(comps)
-    pred_comps: list[set[int]] = [set() for _ in range(c)]
-    succ_comps: list[set[int]] = [set() for _ in range(c)]
-    for u, v in instance.graph.edges:
-        cu, cv = comp_of[u], comp_of[v]
-        if cu != cv:
-            pred_comps[cv].add(cu)
-            succ_comps[cu].add(cv)
     comp_size = [len(g) for g in comps]
     comp_profit = [sum(instance.profit[v] for v in g) for g in comps]
-    sources = [i for i in range(c) if not pred_comps[i]]
-    sinks = [i for i in range(c) if pred_comps[i] and not succ_comps[i]]
+    has_succ = set().union(*pred_comps)
+    # by smallest member: the sink walk pads in this order
+    by_member = sorted(range(c), key=lambda i: comps[i][0])
+    sources = [i for i in by_member if not pred_comps[i]]
+    sinks = [i for i in by_member if pred_comps[i] and i not in has_succ]
     layered = len(sources) + len(sinks) == c and all(
         comp_size[i] == 1 for i in sinks
     )
@@ -320,11 +317,20 @@ def _greedy_cover(masks: list[int], full: int) -> list[int]:
     return chosen
 
 
-def _scc(graph: Digraph) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Strongly connected components, Kosaraju style: a list of components
-    ordered by smallest member, each holding its members in ascending order,
-    and each vertex's component index.  O(V + E) time, with explicit stacks
-    rather than recursion."""
+def _scc(
+    graph: Digraph,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[frozenset[int], ...]]:
+    """The condensation: strongly connected components, each vertex's
+    component index, and each component's set of predecessor components.
+
+    Kosaraju style with explicit stacks, O(V + E).  Components are numbered
+    in the order the second pass finds them, which is topological: every arc
+    between two components runs from the lower index to the higher.  Each
+    component lists its members in ascending order.  Computed once per graph
+    and kept on it, immutable since every caller shares it.
+    """
+    if graph._condensation is not None:
+        return graph._condensation
     n = graph.vertex_count
     successors = graph.successors
     finish: list[int] = []
@@ -345,38 +351,36 @@ def _scc(graph: Digraph) -> tuple[list[tuple[int, ...]], list[int]]:
                 finish.append(v)
                 stack.pop()
 
+    # In falling finish order, a search over predecessors claims exactly one
+    # component, and every predecessor it meets outside that component
+    # belongs to one found earlier.
     predecessors = graph.predecessors
-    leader = [-1] * n
+    comp_of = [-1] * n
+    comps: list[tuple[int, ...]] = []
+    preds: list[frozenset[int]] = []
     for s in reversed(finish):
-        if leader[s] != -1:
+        if comp_of[s] != -1:
             continue
-        leader[s] = s
-        queue = [s]
-        while queue:
-            v = queue.pop()
+        c = comp_of[s] = len(comps)
+        members = [s]
+        above: set[int] = set()
+        for v in members:
             for w in predecessors[v]:
-                if leader[w] == -1:
-                    leader[w] = s
-                    queue.append(w)
-
-    # An ascending scan meets every component first at its smallest member.
-    index = [-1] * n
-    groups: list[list[int]] = []
-    comp_of = [0] * n
-    for v in range(n):
-        c = index[leader[v]]
-        if c == -1:
-            c = index[leader[v]] = len(groups)
-            groups.append([])
-        groups[c].append(v)
-        comp_of[v] = c
-    return [tuple(g) for g in groups], comp_of
+                if comp_of[w] == -1:
+                    comp_of[w] = c
+                    members.append(w)
+                elif comp_of[w] != c:
+                    above.add(comp_of[w])
+        comps.append(tuple(sorted(members)))
+        preds.append(frozenset(above))
+    object.__setattr__(graph, "_condensation", (tuple(comps), tuple(comp_of), tuple(preds)))
+    return graph._condensation
 
 
 def _rcp_component_subsets(
     instance: RcpInstance,
-    comps: list[tuple[int, ...]],
-    pred_comps: list[set[int]],
+    comps: tuple[tuple[int, ...], ...],
+    pred_comps: tuple[frozenset[int], ...],
     comp_size: list[int],
     comp_profit: list[int],
     sources: list[int],
@@ -407,8 +411,8 @@ def _rcp_component_subsets(
 
 def _rcp_sink_subsets(
     instance: RcpInstance,
-    comps: list[tuple[int, ...]],
-    pred_comps: list[set[int]],
+    comps: tuple[tuple[int, ...], ...],
+    pred_comps: tuple[frozenset[int], ...],
     comp_size: list[int],
     comp_profit: list[int],
     sources: list[int],
@@ -461,8 +465,8 @@ def _rcp_sink_subsets(
 
 def _rcp_source_subsets(
     instance: RcpInstance,
-    comps: list[tuple[int, ...]],
-    pred_comps: list[set[int]],
+    comps: tuple[tuple[int, ...], ...],
+    pred_comps: tuple[frozenset[int], ...],
     comp_size: list[int],
     comp_profit: list[int],
     sources: list[int],

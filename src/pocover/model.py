@@ -7,7 +7,9 @@ profits, weights, capacities) are nonnegative integers; nothing in this package
 uses floating point.  The constructors check this: every vertex id, count and
 quantity must be a plain ``int`` (a ``bool`` or ``float`` raises
 ``InputError``).  Every type is immutable after construction and may be shared
-freely across workers.
+freely across workers.  The one derived cache, a ``Digraph``'s condensation,
+depends only on the graph, is filled once on first use, and takes no part in
+comparison or hashing.
 """
 
 from __future__ import annotations
@@ -131,6 +133,8 @@ class Digraph:
     edges: tuple[tuple[int, int], ...]
     successors: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     predecessors: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    # the strongly connected components, kept by ``exact._scc`` on first use
+    _condensation: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         _check_ints((vertex_count,), "vertex count")

@@ -78,8 +78,12 @@ def doc_to_instance(doc: dict[str, Any]) -> Instance:
                 raise InputError("declared vertex count does not match arrays")
             return CtInstance(tree, doc["k"])
         if kind == "rcp":
-            graph = Digraph(doc["n"], [tuple(e) for e in doc["edges"]])
-            return RcpInstance(graph, doc["profit"], doc["k"])
+            n, edges, profit = doc["n"], doc["edges"], tuple(doc["profit"])
+            # before the graph allocates n adjacency lists
+            if type(n) is int and n > 0 and len(profit) != n:
+                raise InputError("profit array length must match vertex count")
+            graph = Digraph(n, [tuple(e) for e in edges])
+            return RcpInstance(graph, profit, doc["k"])
         if kind == "dksh":
             return DkshInstance(doc["n"], doc["hyperedges"], doc["weight"], doc["k"])
         if kind == "bpcc":
@@ -99,7 +103,8 @@ def dumps_instance(instance: Instance) -> str:
 def loads_instance(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack allows
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(

@@ -328,41 +328,23 @@ def _augment_structure_checks(artifact) -> list[tuple[str, bool]]:
 def _reachability_match(small: Digraph, big: Digraph, n: int) -> bool:
     """Original x reaches original y in the gadget graph iff it did before.
 
-    One condensation and one walk of its DAG per graph: O(V + E) plus one
-    n-bit OR per arc between components."""
+    One condensation per graph and one pass over its component DAG: O(V + E)
+    plus one n-bit OR per arc between components."""
     return _original_reach(small, n) == _original_reach(big, n)
 
 
 def _original_reach(graph: Digraph, n: int) -> list[int]:
     """Bit y of entry x is set iff x reaches y (x itself included), for the
     vertices x, y < n."""
-    comps, comp_of = exact._scc(graph)
+    comps, comp_of, preds = exact._scc(graph)
     reach = [0] * len(comps)
     for v in range(n):
         reach[comp_of[v]] |= 1 << v
-    below: list[list[int]] = [[] for _ in comps]
-    for u, v in graph.edges:
-        if comp_of[u] != comp_of[v]:
-            below[comp_of[u]].append(comp_of[v])
-    # Post-order DFS over the component DAG: a component is summed after
-    # every component it points to.
-    seen = [False] * len(comps)
-    for s in range(len(comps)):
-        if seen[s]:
-            continue
-        seen[s] = True
-        stack = [(s, iter(below[s]))]
-        while stack:
-            c, rest = stack[-1]
-            for d in rest:
-                if not seen[d]:
-                    seen[d] = True
-                    stack.append((d, iter(below[d])))
-                    break
-            else:
-                stack.pop()
-                for d in below[c]:
-                    reach[c] |= reach[d]
+    # Components are in topological order, so a component is complete before
+    # the descending scan reaches it and passes it to its predecessors.
+    for c in reversed(range(len(comps))):
+        for p in preds[c]:
+            reach[p] |= reach[c]
     return [reach[comp_of[x]] for x in range(n)]
 
 

@@ -91,6 +91,16 @@ def test_solve_non_object_document_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1 and "JSON object" in err
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000], ids=["array", "object"])
+def test_solve_deeply_nested_json_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("pocover: error: invalid JSON: ")
+
+
 def test_solve_invalid_budget_exits_two(tmp_path, capsys):
     path = tmp_path / "r.json"
     path.write_text(

@@ -298,17 +298,13 @@ def run_layer_strategy(instance, which):
     so each can be compared against the others and the reference."""
     from pocover import exact
 
-    comps, comp_of = exact._scc(instance.graph)
-    pred = [set() for _ in comps]
-    succ = [set() for _ in comps]
-    for u, v in instance.graph.edges:
-        if comp_of[u] != comp_of[v]:
-            pred[comp_of[v]].add(comp_of[u])
-            succ[comp_of[u]].add(comp_of[v])
+    comps, _, pred = exact._scc(instance.graph)
     sizes = [len(c) for c in comps]
     profits = [sum(instance.profit[v] for v in c) for c in comps]
-    sources = [i for i in range(len(comps)) if not pred[i]]
-    sinks = [i for i in range(len(comps)) if pred[i] and not succ[i]]
+    has_succ = set().union(*pred)
+    by_member = sorted(range(len(comps)), key=lambda i: comps[i][0])
+    sources = [i for i in by_member if not pred[i]]
+    sinks = [i for i in by_member if pred[i] and i not in has_succ]
     assert len(sources) + len(sinks) == len(comps)
     walk = {
         "components": exact._rcp_component_subsets,
@@ -484,6 +480,23 @@ def _kosaraju(graph):
     return comps, comp_of
 
 
+def _check_condensation(graph):
+    """``_scc`` against ``_kosaraju`` up to renumbering, plus the order and
+    predecessor contract, and the result kept on the graph."""
+    comps, comp_of, preds = exact._scc(graph)
+    ref_comps, ref_comp_of = _kosaraju(graph)
+    assert sorted(comps) == ref_comps
+    assert all(list(c) == sorted(c) for c in comps)
+    leaders = [comps[c][0] for c in comp_of]
+    assert leaders == [ref_comps[c][0] for c in ref_comp_of]
+    assert all(comp_of[u] <= comp_of[v] for u, v in graph.edges)
+    assert preds == tuple(
+        {comp_of[u] for u, v in graph.edges if comp_of[v] == c and comp_of[u] != c}
+        for c in range(len(comps))
+    )
+    assert exact._scc(graph) is graph._condensation
+
+
 def test_scc_matches_kosaraju_on_seeded_digraphs():
     # One 64-bit draw per vertex: its 6-bit field v decides the arc to v, kept
     # with density 3, 10, 19 or 38 in 64.
@@ -495,8 +508,7 @@ def test_scc_matches_kosaraju_on_seeded_digraphs():
         for u in range(n):
             word = rng.next_u64()
             arcs += [(u, v) for v in range(n) if v != u and (word >> 6 * v) & 63 < density]
-        g = Digraph(n, arcs)
-        assert exact._scc(g) == _kosaraju(g), arcs
+        _check_condensation(Digraph(n, arcs))
 
 
 def test_scc_matches_kosaraju_on_gadget_graphs():
@@ -506,27 +518,33 @@ def test_scc_matches_kosaraju_on_gadget_graphs():
     for n in range(2, 13):
         arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.randrange(4) == 0]
         big = degree_augment(RcpInstance(Digraph(n, arcs), [0] * n, 1)).target.graph
-        comps, comp_of = exact._scc(big)
-        assert (comps, comp_of) == _kosaraju(big)
+        _check_condensation(big)
         # each gadget is strongly connected, so it is one component or inside one
-        assert len(comps) <= n
+        assert len(big._condensation[0]) <= n
         # without one arc the gadgets split
         for _ in range(5):
             edges = list(big.edges)
             del edges[rng.randrange(len(edges))]
-            cut = Digraph(big.vertex_count, edges)
-            assert exact._scc(cut) == _kosaraju(cut)
+            _check_condensation(Digraph(big.vertex_count, edges))
+
+
+def test_scc_is_kept_out_of_equality_and_hashing():
+    g, h = Digraph(3, [(0, 1), (1, 0)]), Digraph(3, [(1, 0), (0, 1)])
+    exact._scc(g)
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert h._condensation is None
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
 def test_scc_walks_a_long_path_without_recursion(closed):
     n = 10**5
     arcs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)] * closed
-    comps, comp_of = exact._scc(Digraph(n, arcs))
+    comps, comp_of, preds = exact._scc(Digraph(n, arcs))
     if closed:
-        assert comps == [tuple(range(n))] and comp_of == [0] * n
+        assert comps == (tuple(range(n)),) and comp_of == (0,) * n and preds == (set(),)
     else:
-        assert comps == [(v,) for v in range(n)] and comp_of == list(range(n))
+        assert comps == tuple((v,) for v in range(n)) and comp_of == tuple(range(n))
+        assert preds == (set(),) + tuple({v - 1} for v in range(1, n))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,25 @@ def test_loads_rejects_bad_json_and_non_objects():
             loads_instance(text)
 
 
+def test_rcp_profit_length_is_checked_before_the_graph_is_built(monkeypatch):
+    from pocover import serialize
+
+    built = []
+    inner = serialize.Digraph
+
+    def spy(n, edges):
+        built.append(n)
+        return inner(n, edges)
+
+    monkeypatch.setattr(serialize, "Digraph", spy)
+    doc = {"format_version": 1, "kind": "rcp", "n": 10**5, "edges": [], "profit": [1], "k": 1}
+    with pytest.raises(InputError, match="profit array length must match vertex count"):
+        doc_to_instance(doc)
+    assert built == []
+    doc_to_instance({**doc, "n": 1})
+    assert built == [1]
+
+
 def test_fingerprint_stability():
     a = generate(GenSpec(kind="digraph", n=6, k=3, seed=9))
     b = generate(GenSpec(kind="digraph", n=6, k=3, seed=9))

@@ -258,6 +258,35 @@ def test_reachability_match_agrees_with_the_per_vertex_oracle():
     assert 300 <= sum(outcomes) <= 1700
 
 
+def test_degree_round_trip_condenses_each_graph_once(monkeypatch):
+    """``exact_rcp`` and the reachability check share one condensation per
+    graph: two computations per round trip, the source and the gadget graph.
+    Calls that find the condensation already kept on the graph are lookups
+    and are not counted."""
+    from pocover import exact
+
+    computed = []
+    inner = exact._scc
+
+    def counting(graph):
+        if getattr(graph, "_condensation", None) is None:
+            computed.append(graph)
+        return inner(graph)
+
+    monkeypatch.setattr(exact, "_scc", counting)
+    draw, check = verify.ROUNDTRIPS["degree_augment"]
+    rng = SplitMix64(3)
+    for i in range(60):
+        rcp = draw(rng, 3 + 104729 * i)
+        before = len(computed)
+        assert check(rcp).passed
+        trip = computed[before:]
+        # the source graph, then the gadget graph
+        assert len(trip) == 2 and trip[0] is rcp.graph
+        assert trip[1].vertex_count > rcp.graph.vertex_count
+    assert len(computed) == 120
+
+
 def _with_target_edges(artifact, edges):
     big = artifact.target
     target = RcpInstance(Digraph(big.graph.vertex_count, edges), big.profit, big.budget)
