@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--out", type=Path, dest="target", help="file (count=1) or directory"
     )
-    p_gen.add_argument("--shape", type=json.loads, default={}, help="JSON shape params")
+    p_gen.add_argument("--shape", default="{}", help="JSON shape params")
     p_gen.add_argument("--emit-dot", type=Path, help="also write a DOT rendering")
     p_gen.set_defaults(handler=_cmd_gen)
 
@@ -131,17 +131,21 @@ def _jsonl_sink(out: Path | None):
             fh.close()
 
 
-def _check_count(count: int, least: int) -> None:
-    if count < least:
-        raise InputError(f"--count must be at least {least}, got {count}")
+def _check_least(option: str, value: int, least: int) -> None:
+    if value < least:
+        raise InputError(f"{option} must be at least {least}, got {value}")
 
 
 def _cmd_gen(args, emit) -> int:
-    _check_count(args.count, 1)
+    _check_least("--count", args.count, 1)
+    try:
+        shape = json.loads(args.shape)
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+        raise InputError(f"shape is not valid JSON: {exc}") from exc
     instances = []
     for i in range(args.count):
         spec = GenSpec(
-            kind=args.kind, n=args.n, k=args.k, seed=args.seed + i, shape=args.shape
+            kind=args.kind, n=args.n, k=args.k, seed=args.seed + i, shape=shape
         )
         instances.append(generate_instance(spec))
         if args.emit_dot and i == 0:
@@ -269,7 +273,9 @@ def _verify_corpus(seed: int, count: int, n_max: int, k_max: int):
 
 
 def _cmd_verify(args, emit) -> int:
-    _check_count(args.count, 0)
+    _check_least("--count", args.count, 0)
+    _check_least("--n-max", args.n_max, 1)
+    _check_least("--k-max", args.k_max, 1)
     if args.files:
         instances = [_load(p, CtInstance) for p in args.files]
     else:
@@ -297,7 +303,7 @@ def _cmd_verify(args, emit) -> int:
 
 
 def _cmd_roundtrip(args, emit) -> int:
-    _check_count(args.count, 0)
+    _check_least("--count", args.count, 0)
     kinds = reductions.REDUCTION_KINDS if args.kind == "all" else (args.kind,)
     lines = (
         (report, {"kind": kind, "instance": report.fingerprint})

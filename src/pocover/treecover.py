@@ -11,15 +11,15 @@ emits their sets round by round.  The recorded run trace supports
 instance-specific lower and upper bounds on the optimal cover cardinality
 whose ratio never exceeds 2.
 
-Preprocessing peels three degenerate layers before the sweep: root paths
-heavier than the capacity (no cover exists), leaves whose root path exactly
-fills a configuration (that configuration is forced), and zero-size leaves
-(detached, then re-inserted into any set containing their parent).
+Preprocessing peels three degenerate layers, the last two in one
+children-first walk: root paths heavier than the capacity (no cover exists),
+leaves whose root path exactly fills a configuration (forced, by leaf id), and
+zero-size leaves (each listed before its parent, detached, then re-inserted
+into the first set containing their parent).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +37,8 @@ class PreprocessResult:
     ``reduced`` is None when preprocessing consumed the whole tree, and the
     input instance itself when it peeled nothing; otherwise its vertices are
     relabelled densely.  ``reduced_to_original[i]`` maps them back.
-    ``forced`` and ``zero_leaves`` use original vertex ids.
+    ``forced`` (each forced leaf's root path, by leaf id) and ``zero_leaves``
+    (``(leaf, parent)`` pairs, each before its parent) use original vertex ids.
     """
 
     reduced: Optional[CtInstance]
@@ -113,43 +114,35 @@ def preprocess(instance: CtInstance) -> PreprocessResult:
                 f"root path of vertex {v} weighs {h[v]} > capacity {k}"
             )
 
-    alive = set(range(n))
-    child_count = [len(tree.children[v]) for v in range(n)]
-
-    # Zero-size leaves first: detaching one may expose another.  They go in
-    # passes of ascending id; a parent exposed by a larger id than its own
-    # waits for the next pass.  The heap holds (pass, id).
+    # A vertex whose children have all left, leaves too: with a forced set a
+    # child left into, else as a zero leaf (not the root), else as a leaf
+    # whose root path fills a configuration, which it forces.
+    present = [len(c) for c in tree.children]  # children still present
+    forcing = [False] * n  # it or a child of it left into a forced configuration
+    alive = [True] * n
     zero_leaves: list[tuple[int, int]] = []
-    heap = [(0, v) for v in range(n) if v != tree.root and child_count[v] == tree.size[v] == 0]
-    while heap:
-        rnd, v = heapq.heappop(heap)
+    forced_leaves: list[int] = []
+    for v in reversed(tree.order):
+        if present[v]:
+            continue
         p = tree.parent[v]
-        alive.remove(v)
-        child_count[p] -= 1
-        zero_leaves.append((v, p))
-        if p != tree.root and child_count[p] == tree.size[p] == 0:
-            heapq.heappush(heap, (rnd + (p < v), p))
+        if not forcing[v]:
+            if tree.size[v] == 0 and p is not None:
+                zero_leaves.append((v, p))
+            elif h[v] == k:
+                forced_leaves.append(v)
+                forcing[v] = True
+            else:
+                continue
+        alive[v] = False
+        if p is not None:
+            present[p] -= 1
+            forcing[p] |= forcing[v]
+    forced = tuple(tree.ancestors(leaf) for leaf in sorted(forced_leaves))
 
-    # Leaves whose root path exactly fills a configuration force that
-    # configuration.  Removing one never creates a new leaf (a parent left
-    # childless goes with it), so one scan finds them all.
-    forced: list[Configuration] = []
-    for leaf in [v for v in sorted(alive) if child_count[v] == 0 and h[v] == k]:
-        forced.append(tree.ancestors(leaf))
-        v: Optional[int] = leaf
-        while v is not None:
-            alive.remove(v)
-            p = tree.parent[v]
-            if p is None:
-                break
-            child_count[p] -= 1
-            if child_count[p] > 0:
-                break
-            v = p
-
-    kept = tuple(sorted(alive))
+    kept = tuple(v for v in range(n) if alive[v])
     if not kept:
-        return PreprocessResult(None, (), tuple(forced), tuple(zero_leaves))
+        return PreprocessResult(None, (), forced, tuple(zero_leaves))
     if len(kept) == n:
         return PreprocessResult(instance, kept, (), ())
     new_id = {old: i for i, old in enumerate(kept)}
@@ -159,7 +152,7 @@ def preprocess(instance: CtInstance) -> PreprocessResult:
     ]
     size = [tree.size[old] for old in kept]
     reduced = CtInstance(SizedOutTree(parent, size), k)
-    return PreprocessResult(reduced, kept, tuple(forced), tuple(zero_leaves))
+    return PreprocessResult(reduced, kept, forced, tuple(zero_leaves))
 
 
 def anchor_step(instance: CtInstance) -> tuple[list[tuple], Optional[list[int]]]:

@@ -135,14 +135,17 @@ def test_gen_invalid_size_exits_two(capsys):
         (["verify", "--count", "-1"], 0),
         (["roundtrip", "--count", "-1"], 0),
         (["roundtrip", "--kind", "degree_augment", "--count", "-5"], 0),
+        (["verify", "--n-max", "0"], 1),
+        (["verify", "--k-max", "-3"], 1),
     ],
 )
 def test_count_below_its_least_exits_two(capsys, argv, least):
+    """The option named last in ``argv`` is below its least value."""
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1
-    assert err.startswith(f"pocover: error: --count must be at least {least}, got ")
+    assert err.startswith(f"pocover: error: {argv[-2]} must be at least {least}, got ")
 
 
 def test_gen_count_zero_creates_nothing(tmp_path, capsys):
@@ -452,6 +455,8 @@ def test_unreadable_input_file_exits_two(tmp_path, capsys, argv, target):
         ["--n", "5", "--shape", '{"max_children": 0}'],
         ["--kind", "hypergraph", "--shape", '{"num_edges": -1}'],
         ["--kind", "dag", "--shape", '{"edge_density": 2}'],
+        ["--shape", "{bad"],
+        ["--shape", "[" * 100_000],
     ],
 )
 def test_malformed_shape_exits_two(capsys, argv):

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from pocover.treecover import (
     AnchorRecord,
     CoverResult,
     InfeasibleInstance,
+    PreprocessResult,
     RunTrace,
     anchor_step,
     bounds,
@@ -475,7 +477,34 @@ def _caterpillar_n3333():
     return CtInstance(SizedOutTree(*_caterpillar(1111, 1)), 10)
 
 
-@pytest.mark.parametrize("build", [_random_tree_n100000, _caterpillar_n3333])
+def _zero_chain_n100000():
+    return CtInstance(SizedOutTree([None] + list(range(99_999)), [0] * 100_000), 3)
+
+
+def _zero_star_n100000():
+    return CtInstance(SizedOutTree([None] + [0] * 99_999, [0] * 100_000), 3)
+
+
+def _forced_legs_n100000():
+    """A size-1 root with 49,999 legs of two vertices and one single-vertex
+    leg, each filling k = 4: every leg is forced, and the root goes with them."""
+    parent, size = [None], [1]
+    for _ in range(49_999):
+        parent += [0, len(parent)]
+        size += [1, 2]
+    return CtInstance(SizedOutTree(parent + [0], size + [3]), 4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _random_tree_n100000,
+        _caterpillar_n3333,
+        _zero_chain_n100000,
+        _zero_star_n100000,
+        _forced_legs_n100000,
+    ],
+)
 def test_oracle_free_checks_at_scale(build):
     inst = build()
     result = cover(inst)
@@ -683,3 +712,158 @@ def test_cover_matches_the_round_loop():
     assert multi_round >= 200
     assert deferring > 0
     assert infeasible < 2200 // 2
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: preprocessing by a zero-leaf heap and a forced-leaf scan
+
+
+def _oracle_preprocess(instance):
+    """``preprocess`` as three mechanisms: a heap that detaches zero leaves in
+    passes of ascending id, a scan of the live set for forced leaves that
+    walks each one's emptied ancestors up, and a sort of what is left."""
+    tree, k = instance.tree, instance.capacity
+    n = tree.vertex_count
+    h = _path_weights(tree)
+    for v in range(n):
+        if h[v] > k:
+            raise InfeasibleInstance(f"root path of vertex {v} weighs {h[v]} > capacity {k}")
+    alive = set(range(n))
+    child_count = [len(tree.children[v]) for v in range(n)]
+    zero_leaves = []
+    heap = [(0, v) for v in range(n) if v != tree.root and child_count[v] == tree.size[v] == 0]
+    while heap:
+        rnd, v = heapq.heappop(heap)
+        p = tree.parent[v]
+        alive.remove(v)
+        child_count[p] -= 1
+        zero_leaves.append((v, p))
+        if p != tree.root and child_count[p] == tree.size[p] == 0:
+            heapq.heappush(heap, (rnd + (p < v), p))
+    forced = []
+    for leaf in [v for v in sorted(alive) if child_count[v] == 0 and h[v] == k]:
+        forced.append(tree.ancestors(leaf))
+        v = leaf
+        while v is not None:
+            alive.remove(v)
+            p = tree.parent[v]
+            if p is None:
+                break
+            child_count[p] -= 1
+            if child_count[p] > 0:
+                break
+            v = p
+    kept = tuple(sorted(alive))
+    if not kept:
+        return PreprocessResult(None, (), tuple(forced), tuple(zero_leaves))
+    if len(kept) == n:
+        return PreprocessResult(instance, kept, (), ())
+    new_id = {old: i for i, old in enumerate(kept)}
+    parent = [None if tree.parent[old] is None else new_id[tree.parent[old]] for old in kept]
+    reduced = CtInstance(SizedOutTree(parent, [tree.size[old] for old in kept]), k)
+    return PreprocessResult(reduced, kept, tuple(forced), tuple(zero_leaves))
+
+
+def _peeling_corpus(count, seed):
+    """Seeded random trees whose sizes are a third zero, a sixth exactly the
+    room left below the parent's root path, and otherwise small, so that zero
+    leaves, forced leaves and anchors are all common.  One tree in eight then
+    has one size raised by 1 (up to k), which often makes it infeasible."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        n = 1 + rng.randrange(30)
+        k = 1 + rng.randrange(12)
+        parent = [None] + [rng.randrange(i) for i in range(1, n)]
+        h, size = [], []
+        for v in range(n):
+            room = k - (0 if parent[v] is None else h[parent[v]])
+            pick = rng.randrange(6)
+            if pick < 2 or room == 0:
+                size.append(0)
+            else:
+                size.append(room if pick == 2 else rng.randint(1, 1 + (room - 1) // 3))
+            h.append(k - room + size[v])
+        if rng.randrange(8) == 0:
+            v = rng.randrange(n)
+            size[v] = min(size[v] + 1, k)
+        yield CtInstance(SizedOutTree(parent, size), k)
+
+
+def _preprocessed(prep, inst):
+    try:
+        return prep(inst)
+    except InfeasibleInstance as exc:
+        return str(exc)
+
+
+def test_preprocess_matches_the_heap_and_scan():
+    """The children-first walk peels what the heap and the forced-leaf scan
+    peeled: the same forced sets, reduced tree, relabelling and infeasibility
+    messages, and the same zero leaves, each now listed before its parent."""
+    with_zero = with_forced = reordered = feasible = 0
+    for i, inst in enumerate(_peeling_corpus(4000, 1515)):
+        want, got = _preprocessed(_oracle_preprocess, inst), _preprocessed(preprocess, inst)
+        if isinstance(want, str):
+            assert got == want, i
+            continue
+        feasible += 1
+        assert got.forced == want.forced, i
+        assert got.reduced == want.reduced, i
+        assert got.reduced_to_original == want.reduced_to_original, i
+        assert sorted(got.zero_leaves) == sorted(want.zero_leaves), i
+        position = {leaf: j for j, (leaf, _) in enumerate(got.zero_leaves)}
+        assert all(position.get(p, j + 1) > j for j, (_, p) in enumerate(got.zero_leaves)), i
+        with_zero += bool(want.zero_leaves)
+        with_forced += bool(want.forced)
+        reordered += got.zero_leaves != want.zero_leaves
+    assert feasible >= 3500
+    assert with_zero >= 3000
+    assert with_forced >= 3000
+    assert reordered >= 2000
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations of cover
+
+
+def _feasible_corpus(count, seed):
+    """The first ``count`` feasible trees of the peeling corpus."""
+    trees = [
+        inst
+        for inst in _peeling_corpus(2 * count, seed)
+        if max(_path_weights(inst.tree)) <= inst.capacity
+    ][:count]
+    assert len(trees) == count
+    return trees
+
+
+def test_scaling_sizes_and_capacity_keeps_the_cover():
+    """Multiplying every size and the capacity by the same c changes no
+    comparison the algorithm makes, so the cover stays the same."""
+    anchored = 0
+    for i, inst in enumerate(_feasible_corpus(2000, 1616)):
+        c = 2 + i % 5
+        tree = inst.tree
+        scaled = CtInstance(SizedOutTree(tree.parent, [c * s for s in tree.size]), c * inst.capacity)
+        result = cover(inst)
+        assert cover(scaled).cover == result.cover, i
+        anchored += bool(result.trace.anchors)
+    assert anchored >= 500
+
+
+def test_appending_a_zero_leaf_joins_the_first_set_of_its_parent():
+    """A zero-size leaf appended under v joins the first set that holds v, and
+    every other set stays as it was."""
+    rng = SplitMix64(1717)
+    anchored = 0
+    for i, inst in enumerate(_feasible_corpus(2000, 1717)):
+        tree = inst.tree
+        n, v = tree.vertex_count, rng.randrange(tree.vertex_count)
+        grown = CtInstance(SizedOutTree(list(tree.parent) + [v], list(tree.size) + [0]), inst.capacity)
+        result = cover(inst)
+        want = result.cover
+        first = next(j for j, s in enumerate(want) if v in s)
+        want[first] = want[first] | {n}
+        assert cover(grown).cover == want, i
+        anchored += bool(result.trace.anchors)
+    assert anchored >= 500
