@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 
@@ -310,12 +311,26 @@ def validate_configuration(instance: CtInstance, members: Iterable[int]) -> Opti
     naming the first ancestor-closure violation or the size excess."""
     tree = instance.tree
     members = frozenset(members)
-    _check_range(tree.vertex_count, members, "configuration")
-    for v in sorted(members):
-        p = tree.parent[v]
-        if p is not None and p not in members:
-            return f"vertex {v} is included without its parent {p}"
-    total = sum(tree.size[v] for v in members)
+    if not members:
+        return None
+    # One C-level gather.  A negative id would wrap, so it goes first; then the
+    # id-by-id check names a bad id, or else the gather's own error stands.
+    get = itemgetter(*members)
+    try:
+        if min(members) < 0:
+            raise IndexError
+        parents, sizes = get(tree.parent), get(tree.size)
+    except (IndexError, TypeError):
+        _check_range(tree.vertex_count, members, "configuration")
+        raise
+    if len(members) == 1:  # itemgetter of one index returns the item bare
+        parents, sizes = (parents,), (sizes,)
+    if not set(parents).difference(members) <= {None}:  # None: the root's parent
+        for v in sorted(members):
+            p = tree.parent[v]
+            if p is not None and p not in members:
+                return f"vertex {v} is included without its parent {p}"
+    total = sum(sizes)
     if total > instance.capacity:
         return f"total size {total} exceeds capacity {instance.capacity}"
     return None
@@ -329,9 +344,10 @@ def validate_cover(instance: CtInstance, cover: Sequence[Iterable[int]]) -> Opti
         if problem is not None:
             return f"set {i}: {problem}"
         covered.update(members)
-    missing = [v for v in range(instance.tree.vertex_count) if v not in covered]
-    if missing:
-        return f"vertex {missing[0]} is not covered"
+    n = instance.tree.vertex_count
+    if len(covered) < n:  # members are in range, so that means some is missing
+        missing = next(v for v in range(n) if v not in covered)
+        return f"vertex {missing} is not covered"
     return None
 
 

@@ -15,7 +15,8 @@ Preprocessing peels three degenerate layers, the last two in one
 children-first walk: root paths heavier than the capacity (no cover exists),
 leaves whose root path exactly fills a configuration (forced, by leaf id), and
 zero-size leaves (each listed before its parent, detached, then re-inserted
-into the first set containing their parent).
+into the first set containing their parent).  All of it runs in the input's
+vertex ids: the sweep skips what preprocessing peeled.
 """
 
 from __future__ import annotations
@@ -32,17 +33,18 @@ class InfeasibleInstance(Exception):
 
 @dataclass(frozen=True)
 class PreprocessResult:
-    """Outcome of instance preprocessing.
+    """Outcome of instance preprocessing, in the input's vertex ids.
 
-    ``reduced`` is None when preprocessing consumed the whole tree, and the
-    input instance itself when it peeled nothing; otherwise its vertices are
-    relabelled densely.  ``reduced_to_original[i]`` maps them back.
-    ``forced`` (each forced leaf's root path, by leaf id) and ``zero_leaves``
-    (``(leaf, parent)`` pairs, each before its parent) use original vertex ids.
+    ``alive[v]`` tells whether v was kept.  A peeled vertex's subtree is
+    peeled too, so the kept vertices form a rooted subtree (empty when the
+    root was peeled); ``verify.reduced_instance`` relabels it densely.
+    ``h[v]`` is v's root-path weight, ``forced`` each forced leaf's root path
+    by leaf id, and ``zero_leaves`` the ``(leaf, parent)`` pairs, each before
+    its parent.
     """
 
-    reduced: Optional[CtInstance]
-    reduced_to_original: tuple[int, ...]
+    alive: tuple[bool, ...]
+    h: tuple[int, ...]
     forced: tuple[Configuration, ...]
     zero_leaves: tuple[tuple[int, int], ...]
 
@@ -102,8 +104,9 @@ def preprocess(instance: CtInstance) -> PreprocessResult:
     """Peel forced configurations and zero-size leaves off an instance.
 
     Raises InfeasibleInstance when some root path outweighs the capacity.
-    Afterwards every remaining vertex has root-path weight strictly below the
-    capacity and every remaining leaf has positive size.
+    Afterwards every kept vertex has root-path weight strictly below the
+    capacity, and every kept vertex that is not the root has a kept child or
+    positive size.
     """
     tree, k = instance.tree, instance.capacity
     n = tree.vertex_count
@@ -139,25 +142,14 @@ def preprocess(instance: CtInstance) -> PreprocessResult:
             present[p] -= 1
             forcing[p] |= forcing[v]
     forced = tuple(tree.ancestors(leaf) for leaf in sorted(forced_leaves))
-
-    kept = tuple(v for v in range(n) if alive[v])
-    if not kept:
-        return PreprocessResult(None, (), forced, tuple(zero_leaves))
-    if len(kept) == n:
-        return PreprocessResult(instance, kept, (), ())
-    new_id = {old: i for i, old in enumerate(kept)}
-    parent = [
-        None if tree.parent[old] is None else new_id[tree.parent[old]]
-        for old in kept
-    ]
-    size = [tree.size[old] for old in kept]
-    reduced = CtInstance(SizedOutTree(parent, size), k)
-    return PreprocessResult(reduced, kept, forced, tuple(zero_leaves))
+    return PreprocessResult(tuple(alive), tuple(h), forced, tuple(zero_leaves))
 
 
-def anchor_step(instance: CtInstance) -> tuple[list[tuple], Optional[list[int]]]:
+def anchor_step(
+    instance: CtInstance, pre: PreprocessResult
+) -> tuple[list[tuple], Optional[list[int]]]:
     """Find every anchor of the run, its round and its packing, in one
-    post-order sweep over a preprocessed instance.
+    post-order sweep over the vertices that preprocessing ``pre`` kept.
 
     Returns ``(fired, residual)``.  ``fired`` holds one tuple per anchor,
     ``(round, anchor, sets, anchored, anchored_size, leftover_size, h)``:
@@ -186,17 +178,20 @@ def anchor_step(instance: CtInstance) -> tuple[list[tuple], Optional[list[int]]]
     A fired vertex stays active only if it deferred children; any other
     vertex stays active if it has active children or no anchor below it
     fired.  Active children always carry positive mass, as preprocessing
-    removed the zero-size leaves.
+    removed the zero-size leaves.  A peeled vertex is skipped: its subtree is
+    peeled too, so it carries no mass and no anchor.
     """
     tree, k = instance.tree, instance.capacity
     parent, size, children = tree.parent, tree.size, tree.children
-    h = _path_weights(tree)
+    alive, h = pre.alive, pre.h
     n = tree.vertex_count
-    active = [True] * n
+    active = list(alive)  # a peeled vertex is never active
     below = [0] * n  # active mass strictly below the vertex
     latest = [0] * n  # latest anchor round at or below the vertex
     fired: list[tuple] = []
     for v in reversed(tree.order):
+        if not alive[v]:
+            continue
         room = k - h[v]
         if below[v] > room:
             live = [c for c in children[v] if active[c]]
@@ -272,37 +267,29 @@ def cover(instance: CtInstance) -> CoverResult:
     pre = preprocess(instance)
     cover_sets: list[frozenset[int]] = list(pre.forced)
     records: list[AnchorRecord] = []
-    final_residual: Optional[Configuration] = None
-    alpha = 0
-
-    if pre.reduced is not None:
-        to_orig = pre.reduced_to_original.__getitem__
-        fired, residual = anchor_step(pre.reduced)
-        fired.sort(key=lambda f: f[:2])
-        leftover: dict[int, int] = {}  # reduced anchor id -> leftover size
-        for iteration, a, sets, anchored, anchored_size, leftover_size, h in fired:
-            first = len(cover_sets)
-            cover_sets.extend(frozenset(map(to_orig, q)) for q in sets)
-            records.append(
-                AnchorRecord(
-                    anchor=to_orig(a),
-                    iteration=iteration,
-                    h=h,
-                    anchored_size=anchored_size,
-                    leftover_size=leftover_size,
-                    anchored_vertices=frozenset(map(to_orig, anchored)),
-                    emitted_sets=tuple(range(first, len(cover_sets))),
-                )
+    fired, residual = anchor_step(instance, pre)
+    fired.sort(key=lambda f: f[:2])
+    leftover: dict[int, int] = {}  # anchor -> leftover size
+    for iteration, a, sets, anchored, anchored_size, leftover_size, h in fired:
+        first = len(cover_sets)
+        cover_sets.extend(map(frozenset, sets))
+        records.append(
+            AnchorRecord(
+                anchor=a,
+                iteration=iteration,
+                h=h,
+                anchored_size=anchored_size,
+                leftover_size=leftover_size,
+                anchored_vertices=frozenset(anchored),
+                emitted_sets=tuple(range(first, len(cover_sets))),
             )
-            leftover[a] = leftover_size
-        if residual is not None:
-            final_residual = frozenset(map(to_orig, residual))
-            cover_sets.append(final_residual)
-
-        top_reduced, alpha = _parity_term(pre.reduced.tree, leftover)
-        top_anchors = frozenset(map(to_orig, top_reduced))
-    else:
-        top_anchors = frozenset()
+        )
+        leftover[a] = leftover_size
+    final_residual: Optional[Configuration] = None
+    if residual is not None:
+        final_residual = frozenset(residual)
+        cover_sets.append(final_residual)
+    top_anchors, alpha = _parity_term(instance.tree, pre.alive, leftover)
 
     # Each zero leaf joins the first set holding its parent; a parent that is
     # itself a zero leaf was placed just before it.
@@ -327,7 +314,7 @@ def cover(instance: CtInstance) -> CoverResult:
         final_residual=final_residual,
         zero_leaf_attachments=attachments,
     )
-    return CoverResult(list(cover_sets), trace)
+    return CoverResult(cover_sets, trace)
 
 
 def bounds(trace: RunTrace, instance: CtInstance) -> Bounds:
@@ -347,23 +334,24 @@ def bounds(trace: RunTrace, instance: CtInstance) -> Bounds:
 
 
 def _parity_term(
-    tree: SizedOutTree, leftover: dict[int, int]
+    tree: SizedOutTree, alive: tuple[bool, ...], leftover: dict[int, int]
 ) -> tuple[frozenset[int], int]:
     """The top anchors (no anchor above them) among the keys of ``leftover``
     (anchor -> leftover size), and the 0/1 correction shared by both bounds:
-    1 when a top anchor kept leftovers or some leaf has no top anchor above
-    it.  One walk from the root that stops at top anchors."""
+    1 when a top anchor kept leftovers or some kept leaf has no top anchor
+    above it.  A kept vertex whose children were all peeled is a leaf.  One
+    walk from the root over the kept vertices that stops at top anchors."""
     top: list[int] = []
     bare_leaf = False
-    stack = [tree.root]
+    stack = [tree.root] if alive[tree.root] else []
     while stack:
         v = stack.pop()
         if v in leftover:
             top.append(v)
-        elif tree.children[v]:
-            stack.extend(tree.children[v])
-        else:
-            bare_leaf = True
+            continue
+        kids = [c for c in tree.children[v] if alive[c]]
+        stack += kids
+        bare_leaf = bare_leaf or not kids
     return frozenset(top), int(bare_leaf or any(leftover[a] for a in top))
 
 

@@ -28,12 +28,14 @@ from .model import (
     Digraph,
     DkshInstance,
     RcpInstance,
+    SizedOutTree,
+    _check_range,
     contained_hyperedges,
     is_closed,
     validate_cover,
 )
 from .serialize import fingerprint
-from .treecover import InfeasibleInstance, RunTrace, bounds, cover, preprocess
+from .treecover import AnchorRecord, InfeasibleInstance, RunTrace, bounds, cover, preprocess
 
 
 class _Checked:
@@ -110,16 +112,9 @@ def structural_checks(instance: CtInstance, result_cover, trace: RunTrace) -> li
         taken |= rec.anchored_vertices
     checks.append(("anchored_disjoint", disjoint))
 
-    # An anchor that the trace records twice counts with its earliest iteration.
-    fired: dict[int, int] = {}
-    for rec in trace.anchors:
-        fired[rec.anchor] = min(rec.iteration, fired.get(rec.anchor, rec.iteration))
-    order_ok = all(
-        fired.get(u, rec.iteration + 1) > rec.iteration
-        for rec in trace.anchors
-        for u in instance.tree.ancestors(rec.anchor) - {rec.anchor}
+    checks.append(
+        ("anchor_ancestors_fire_later", _ancestors_fire_later(instance.tree, trace.anchors))
     )
-    checks.append(("anchor_ancestors_fire_later", order_ok))
 
     mass_ok = all(
         rec.anchored_size
@@ -128,6 +123,47 @@ def structural_checks(instance: CtInstance, result_cover, trace: RunTrace) -> li
     )
     checks.append(("anchored_mass_consistent", mass_ok))
     return checks
+
+
+def _ancestors_fire_later(tree: SizedOutTree, anchors: tuple[AnchorRecord, ...]) -> bool:
+    """Each anchor's proper ancestors fire later, if at all; an anchor that
+    the trace records twice counts with its earliest round.  ``above[v]``,
+    the earliest round of a proper ancestor of v, is filled by one walk up
+    each anchor's root path that stops at a known vertex: O(n + anchors).
+    An anchor out of range raises ``InputError``, as ``tree.ancestors`` does."""
+    fired: dict[int, int] = {}
+    for rec in anchors:
+        fired[rec.anchor] = min(rec.iteration, fired.get(rec.anchor, rec.iteration))
+    never = 1 + max((rec.iteration for rec in anchors), default=0)  # later than any
+    parent = tree.parent
+    above = {tree.root: never}
+    for rec in anchors:
+        _check_range(tree.vertex_count, (rec.anchor,), "ancestors")
+        path = []
+        v = rec.anchor
+        while v not in above:
+            path.append(v)
+            v = parent[v]
+        for u in reversed(path):  # v is the parent of u
+            above[u] = min(above[v], fired.get(v, never))
+            v = u
+        if rec.iteration >= above[rec.anchor]:
+            return False
+    return True
+
+
+def reduced_instance(instance: CtInstance) -> Optional[CtInstance]:
+    """The vertices that ``preprocess`` keeps, as an instance of their own
+    relabelled densely in ascending id, or None when it keeps none.  The
+    lower bound holds against this instance's optimum; ``cover`` never
+    builds it."""
+    kept = [v for v, keep in enumerate(preprocess(instance).alive) if keep]
+    if not kept:
+        return None
+    tree = instance.tree
+    new_id = {old: i for i, old in enumerate(kept)}
+    parent = [None if tree.parent[v] is None else new_id[tree.parent[v]] for v in kept]
+    return CtInstance(SizedOutTree(parent, [tree.size[v] for v in kept]), instance.capacity)
 
 
 def verify_ct(instance: CtInstance, with_exact: bool = False) -> VerifyReport:
@@ -155,11 +191,8 @@ def verify_ct(instance: CtInstance, with_exact: bool = False) -> VerifyReport:
     if with_exact:
         try:
             exact_cardinality = len(exact.exact_ct(instance))
-            pre = preprocess(instance)
-            if pre.reduced is None:
-                exact_reduced = 0
-            else:
-                exact_reduced = len(exact.exact_ct(pre.reduced))
+            reduced = reduced_instance(instance)
+            exact_reduced = 0 if reduced is None else len(exact.exact_ct(reduced))
         except exact.SizeGuardError as exc:
             error = f"oracle guard: {exc}"
         if exact_cardinality is not None and exact_reduced is not None:

@@ -21,8 +21,9 @@ from pocover.model import (
 )
 from pocover.reductions import degree_augment
 from pocover.serialize import cover_to_doc
-from pocover.treecover import bounds, cover, preprocess
+from pocover.treecover import bounds, cover
 from pocover.verify import (
+    reduced_instance,
     roundtrip_bpcc_to_ct,
     roundtrip_degree_augment,
     roundtrip_dks_pipeline,
@@ -57,8 +58,8 @@ def ct_runs():
         result = cover(instance)
         b = bounds(result.trace, instance)
         exact_total = len(exact_ct(instance))
-        pre = preprocess(instance)
-        exact_reduced = 0 if pre.reduced is None else len(exact_ct(pre.reduced))
+        reduced = reduced_instance(instance)
+        exact_reduced = 0 if reduced is None else len(exact_ct(reduced))
         runs.append((instance, result, b, exact_total, exact_reduced))
     elapsed = time.perf_counter() - start
     return runs, elapsed

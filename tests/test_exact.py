@@ -431,6 +431,83 @@ def test_exact_rcp_guard_on_wide_two_layer_graph():
         exact_rcp(RcpInstance(g, [0] * 21 + [1] * 21, 3))
 
 
+def _two_layer(seed):
+    """Source cycles of one to three vertices that carry profit, over
+    singleton sinks each fed by the first source and by some of the others."""
+    rng = SplitMix64(seed)
+    groups, edges, n = [], [], 0
+    for _ in range(1 + rng.randrange(4)):
+        size = 1 + rng.randrange(3)
+        group = list(range(n, n + size))
+        n += size
+        groups.append(group)
+        if size > 1:
+            edges += [(group[i], group[(i + 1) % size]) for i in range(size)]
+    for _ in range(rng.randrange(5)):
+        edges.append((groups[0][0], n))
+        edges += [(g[rng.randrange(len(g))], n) for g in groups[1:] if rng.randrange(2)]
+        n += 1
+    profit = [rng.randrange(5) for _ in range(n)]
+    return RcpInstance(Digraph(n, edges), profit, 1 + rng.randrange(n))
+
+
+def _rcp_digest_corpus():
+    """(label, instance): seeded random digraphs and dags, the targets of
+    ``dksh_to_rcp`` (zero-profit sources) and ``dks_to_urcp`` (cyclic
+    sources), two-layer graphs with profitable sources, and three graphs
+    over the mask ceiling."""
+    from pocover.reductions import dks_to_urcp, dksh_to_rcp
+
+    rng = SplitMix64(9)
+    for seed in range(600):
+        kind = ("digraph", "dag")[seed % 2]
+        n = 1 + rng.randrange(12)
+        shape = {"edge_density": (0.1, 0.3, 0.6)[seed % 3]}
+        yield kind, generate(GenSpec(kind, n=n, k=1 + rng.randrange(n), seed=seed, shape=shape))
+    for seed in range(300):
+        spec = GenSpec("hypergraph", n=2 + seed % 5, k=1 + seed % 4, seed=seed,
+                       shape={"num_edges": 1 + seed % 4})
+        yield "dksh_to_rcp", dksh_to_rcp(generate(spec)).target
+    for seed in range(200):
+        spec = GenSpec("digraph", n=2 + seed % 5, k=1, seed=seed, shape={"edge_density": 0.4})
+        yield "dks_to_urcp", dks_to_urcp(generate(spec).graph, 1 + seed % 3, 1 + seed % 2).target
+    for seed in range(200):
+        yield "two_layer", _two_layer(seed)
+    cycles = [e for i in range(24) for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i), (2 * i, 2 * i + 2))]
+    yield "over_guard_path", RcpInstance(Digraph(50, cycles), [1] * 50, 3)
+    yield "over_guard_edgeless", RcpInstance(Digraph(21, []), [1] * 21, 5)
+    wide = Digraph(42, [(i, 21 + i) for i in range(21)])
+    yield "over_guard_two_layer", RcpInstance(wide, [0] * 21 + [1] * 21, 3)
+
+
+def test_exact_rcp_digest_on_seeded_corpus(monkeypatch):
+    """``exact_rcp`` selections and profits, or the guard's message, hashed
+    over a seeded corpus on which each of the three walks runs hundreds of
+    times.  The digest changes only with a deliberate change of output,
+    which CHANGES.md records together with the new value."""
+    runs = dict.fromkeys(("_rcp_component_subsets", "_rcp_sink_subsets", "_rcp_source_subsets"), 0)
+    for name in runs:
+        def counted(*args, _walk=getattr(exact, name), _name=name):
+            runs[_name] += 1
+            return _walk(*args)
+
+        monkeypatch.setattr(exact, name, counted)
+    digest = hashlib.sha256()
+    guarded = 0
+    for label, inst in _rcp_digest_corpus():
+        line = [label, dumps_instance(inst)]
+        try:
+            selection, profit = exact_rcp(inst)
+            line.append([sorted(selection), profit])
+        except SizeGuardError as exc:
+            line.append([type(exc).__name__, str(exc)])
+            guarded += 1
+        digest.update(json.dumps(line).encode() + b"\n")
+    assert min(runs.values()) >= 300, runs
+    assert guarded == 3
+    assert digest.hexdigest() == "677e136923772472d8d18392fb9ec108b5fa4be1257880b304de330abea265c3"
+
+
 def _kosaraju(graph):
     """The two-pass Kosaraju that ``_scc`` replaced: a (vertex, index) tuple
     per edge crossed, then a sort and a relabel by smallest member."""

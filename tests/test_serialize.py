@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pocover.generate import GenSpec, generate
-from pocover.model import CtInstance, InputError, SizedOutTree
+from pocover.model import CtInstance, InputError, SizedOutTree, validate_cover
 from pocover.serialize import (
     cover_to_doc,
     doc_to_instance,
@@ -15,7 +15,7 @@ from pocover.serialize import (
     loads_instance,
     trace_to_doc,
 )
-from pocover.treecover import cover
+from pocover.treecover import InfeasibleInstance, cover
 
 
 KINDS = ["out_tree", "bp_star", "dag", "digraph", "hypergraph", "bpcc"]
@@ -121,3 +121,63 @@ def test_serialized_trees_keep_null_root():
     text = dumps_instance(inst)
     assert "null" in text
     assert loads_instance(text) == inst
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the document parser
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def _documents(draw):
+    """The document of a small generated instance, then up to two edits: a
+    field dropped, a field replaced by any JSON, or one list entry replaced
+    by a small int or any JSON."""
+    spec = GenSpec(
+        kind=draw(st.sampled_from(KINDS)),
+        n=draw(st.integers(1, 6)),
+        k=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    doc = instance_to_doc(generate(spec))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(sorted(doc)))
+        how = draw(st.sampled_from(["drop", "replace", "entry"]))
+        if how == "drop":
+            del doc[key]
+        elif how == "replace" or not isinstance(doc[key], list) or not doc[key]:
+            doc[key] = draw(_json_values)
+        else:
+            i = draw(st.integers(0, len(doc[key]) - 1))
+            doc[key][i] = draw(st.integers(-1, 6) | _json_values)
+        if not doc:
+            break
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_documents().map(json.dumps), _json_values.map(json.dumps), st.text(max_size=12)))
+def test_loads_instance_raises_only_input_errors(text):
+    """Any text is an instance or an ``InputError``.  An accepted document
+    serializes to canonical bytes that parse back to the same instance and
+    serialize again byte for byte, and a tree document then solves or is
+    infeasible."""
+    try:
+        instance = loads_instance(text)
+    except InputError:
+        return
+    canonical = dumps_instance(instance)
+    assert loads_instance(canonical) == instance
+    assert dumps_instance(loads_instance(canonical)) == canonical
+    assert json.loads(canonical) == instance_to_doc(instance)
+    if isinstance(instance, CtInstance):
+        try:
+            result = cover(instance)
+        except InfeasibleInstance:
+            return
+        assert validate_cover(instance, result.cover) is None

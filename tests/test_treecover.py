@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import json
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,6 @@ from pocover.treecover import (
     AnchorRecord,
     CoverResult,
     InfeasibleInstance,
-    PreprocessResult,
     RunTrace,
     anchor_step,
     bounds,
@@ -28,7 +28,7 @@ from pocover.treecover import (
     _parity_term,
     _path_weights,
 )
-from pocover.verify import structural_checks
+from pocover.verify import reduced_instance, structural_checks
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +49,9 @@ def test_preprocess_forced_leaf():
     inst = CtInstance(SizedOutTree([None, 0, 0], [2, 3, 1]), 5)
     pre = preprocess(inst)
     assert pre.forced == (frozenset({0, 1}),)
-    assert pre.reduced_to_original == (0, 2)
+    assert pre.alive == (True, False, True)
     assert pre.zero_leaves == ()
-    assert pre.reduced is not None and pre.reduced.tree.size == (2, 1)
+    assert reduced_instance(inst).tree.size == (2, 1)
 
 
 def test_preprocess_zero_leaf():
@@ -59,7 +59,7 @@ def test_preprocess_zero_leaf():
     pre = preprocess(inst)
     assert pre.zero_leaves == ((1, 0),)
     assert pre.forced == ()
-    assert pre.reduced_to_original == (0, 2)
+    assert pre.alive == (True, False, True)
 
 
 def test_preprocess_zero_leaf_with_full_path():
@@ -69,7 +69,7 @@ def test_preprocess_zero_leaf_with_full_path():
     pre = preprocess(inst)
     assert pre.zero_leaves == ((1, 0),)
     assert pre.forced == (frozenset({0, 2}),)
-    assert pre.reduced is None
+    assert reduced_instance(inst) is None
     result = cover(inst)
     assert validate_cover(inst, result.cover) is None
     assert len(result.cover) == len(exact_ct(inst)) == 1
@@ -80,13 +80,13 @@ def test_preprocess_zero_chain():
     inst = CtInstance(SizedOutTree([None, 0, 1], [1, 0, 0]), 2)
     pre = preprocess(inst)
     assert pre.zero_leaves == ((2, 1), (1, 0))
-    assert pre.reduced_to_original == (0,)
+    assert pre.alive == (True, False, False)
 
 
 def test_preprocess_zero_root_survives():
     inst = CtInstance(SizedOutTree([None], [0]), 1)
     pre = preprocess(inst)
-    assert pre.reduced is not None
+    assert pre.alive == (True,)
     assert pre.zero_leaves == ()
 
 
@@ -96,8 +96,8 @@ def test_preprocess_without_peeling_returns_the_input(star4):
     )
     for inst in (star4, generated):
         pre = preprocess(inst)
-        assert pre.reduced == inst
-        assert pre.reduced_to_original == tuple(range(inst.tree.vertex_count))
+        assert reduced_instance(inst) == inst
+        assert all(pre.alive)
         assert pre.forced == () and pre.zero_leaves == ()
 
 
@@ -118,9 +118,10 @@ def test_preprocess_postconditions_on_random_trees():
             )
             continue
         seen_forced += bool(pre.forced)
-        if pre.reduced is None:
+        reduced = reduced_instance(inst)
+        if reduced is None:
             continue
-        red = pre.reduced.tree
+        red = reduced.tree
         for v in range(red.vertex_count):
             path = sum(red.size[u] for u in red.ancestors(v))
             assert path < k
@@ -143,7 +144,7 @@ def _fired_sets(fired):
 
 def test_anchor_step_star(star4):
     # The root anchors all four leaves in round 1 and leaves nothing active.
-    fired, residual = anchor_step(star4)
+    fired, residual = anchor_step(star4, preprocess(star4))
     assert _fired_sets(fired) == [(1, 0, [{0, 1, 2}, {0, 3, 4}], {1, 2, 3, 4}, 12, 0, 0)]
     assert residual is None
 
@@ -151,7 +152,7 @@ def test_anchor_step_star(star4):
 def test_anchor_step_chain(chain4):
     # Vertex 1 (room 3) anchors its four size-2 leaves, one per set, and
     # leaves nothing active.
-    fired, residual = anchor_step(chain4)
+    fired, residual = anchor_step(chain4, preprocess(chain4))
     assert _fired_sets(fired) == [
         (1, 1, [{0, 1, 2}, {0, 1, 3}, {0, 1, 4}, {0, 1, 5}], {2, 3, 4, 5}, 8, 0, 1)
     ]
@@ -280,8 +281,7 @@ def test_multi_iteration_run():
 def test_anchor_below_forced_branch_keeps_original_ids():
     # r(1) carries a forced leaf f(3) (path weight = k) and a zero-size inner
     # vertex a whose four size-2 leaves drive the packing.  The trace must
-    # report the anchor and its vertices in original ids even though the
-    # reduced instance is relabelled after f's removal.
+    # report the anchor and its vertices in original ids after f's removal.
     inst = CtInstance(
         SizedOutTree([None, 0, 0, 1, 1, 1, 1], [1, 0, 3, 2, 2, 2, 2]), 4
     )
@@ -371,8 +371,8 @@ def test_cover_properties_hold_on_random_instances(inst):
     optimum = len(exact_ct(inst))
     assert optimum <= len(result.cover) <= 2 * optimum
 
-    pre = preprocess(inst)
-    exact_reduced = 0 if pre.reduced is None else len(exact_ct(pre.reduced))
+    reduced = reduced_instance(inst)
+    exact_reduced = 0 if reduced is None else len(exact_ct(reduced))
     assert b.lower <= exact_reduced <= trace.loop_and_residual_count()
 
 
@@ -515,6 +515,29 @@ def test_oracle_free_checks_at_scale(build):
     assert len(result.cover) <= b.upper + len(result.trace.forced_prefix)
 
 
+def test_factor_two_is_tight_at_scale():
+    """A zero-size root with leaves [500, 1] x 10^4 and k = 1000.  Pairs of
+    500s and sets of a thousand 1s cover it in 5010 sets, which is also
+    ceil(total / k), so OPT = 5010.  Next-fit closes every set after one 500
+    and one 1, so the cover has 10^4 sets: the factor 2 is tight."""
+    m, k, opt = 10_000, 1000, 5010
+    parent, size = [None] + [0] * (2 * m), [0] + [500, 1] * m
+    inst = CtInstance(SizedOutTree(parent, size), k)
+    heavy, light = range(1, 2 * m, 2), range(2, 2 * m + 1, 2)
+    optimal = [frozenset({0, *heavy[i:i + 2]}) for i in range(0, m, 2)]
+    optimal += [frozenset({0, *light[i:i + k]}) for i in range(0, m, k)]
+    assert validate_cover(inst, optimal) is None
+    assert len(optimal) == -(-sum(size) // k) == opt
+
+    result = cover(inst)
+    assert len(result.cover) == m
+    assert len(result.cover) / opt > 1.99
+    b = bounds(result.trace, inst)
+    assert b.lower <= opt
+    checks = structural_checks(inst, result.cover, result.trace)
+    assert [name for name, ok in checks if not ok] == []
+
+
 # ---------------------------------------------------------------------------
 # differential oracle: the round loop that the sweep replaced
 
@@ -598,8 +621,9 @@ def _oracle_cover(instance):
     final_residual = None
     alpha = 0
     top_anchors = frozenset()
-    if pre.reduced is not None:
-        red, to_orig = pre.reduced, pre.reduced_to_original
+    red = reduced_instance(instance)
+    if red is not None:
+        to_orig = [v for v, keep in enumerate(pre.alive) if keep]
         tree, k = red.tree, red.capacity
         h = _path_weights(tree)
         active = frozenset(range(tree.vertex_count))
@@ -637,7 +661,7 @@ def _oracle_cover(instance):
         if active:
             final_residual = frozenset(to_orig[v] for v in active)
             cover_sets.append(final_residual)
-        top_reduced, alpha = _parity_term(tree, leftover)
+        top_reduced, alpha = _parity_term(tree, (True,) * tree.vertex_count, leftover)
         top_anchors = frozenset(to_orig[a] for a in top_reduced)
 
     parents = {p for _, p in pre.zero_leaves}
@@ -718,6 +742,10 @@ def test_cover_matches_the_round_loop():
 # differential oracle: preprocessing by a zero-leaf heap and a forced-leaf scan
 
 
+# What ``preprocess`` returned while ``cover`` ran on a relabelled copy.
+_Relabelled = namedtuple("_Relabelled", "reduced reduced_to_original forced zero_leaves")
+
+
 def _oracle_preprocess(instance):
     """``preprocess`` as three mechanisms: a heap that detaches zero leaves in
     passes of ascending id, a scan of the live set for forced leaves that
@@ -755,13 +783,13 @@ def _oracle_preprocess(instance):
             v = p
     kept = tuple(sorted(alive))
     if not kept:
-        return PreprocessResult(None, (), tuple(forced), tuple(zero_leaves))
+        return _Relabelled(None, (), tuple(forced), tuple(zero_leaves))
     if len(kept) == n:
-        return PreprocessResult(instance, kept, (), ())
+        return _Relabelled(instance, kept, (), ())
     new_id = {old: i for i, old in enumerate(kept)}
     parent = [None if tree.parent[old] is None else new_id[tree.parent[old]] for old in kept]
     reduced = CtInstance(SizedOutTree(parent, [tree.size[old] for old in kept]), k)
-    return PreprocessResult(reduced, kept, tuple(forced), tuple(zero_leaves))
+    return _Relabelled(reduced, kept, tuple(forced), tuple(zero_leaves))
 
 
 def _peeling_corpus(count, seed):
@@ -808,8 +836,8 @@ def test_preprocess_matches_the_heap_and_scan():
             continue
         feasible += 1
         assert got.forced == want.forced, i
-        assert got.reduced == want.reduced, i
-        assert got.reduced_to_original == want.reduced_to_original, i
+        assert reduced_instance(inst) == want.reduced, i
+        assert tuple(v for v, keep in enumerate(got.alive) if keep) == want.reduced_to_original, i
         assert sorted(got.zero_leaves) == sorted(want.zero_leaves), i
         position = {leaf: j for j, (leaf, _) in enumerate(got.zero_leaves)}
         assert all(position.get(p, j + 1) > j for j, (_, p) in enumerate(got.zero_leaves)), i

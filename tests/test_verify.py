@@ -4,8 +4,8 @@ import pytest
 
 from pocover import reductions, verify
 from pocover.generate import GenSpec, SplitMix64, generate
-from pocover.model import CtInstance, Digraph, RcpInstance, SizedOutTree
-from pocover.treecover import cover
+from pocover.model import CtInstance, Digraph, InputError, RcpInstance, SizedOutTree
+from pocover.treecover import AnchorRecord, InfeasibleInstance, cover
 from pocover.verify import (
     roundtrip_bpcc_to_ct,
     roundtrip_degree_augment,
@@ -150,6 +150,87 @@ def test_order_check_takes_the_earliest_record_of_an_anchor():
     trace = replace(result.trace, anchors=(inner, replace(outer, iteration=1), outer))
     checks = dict(structural_checks(inst, result.cover, trace))
     assert not checks["anchor_ancestors_fire_later"]
+
+
+def _oracle_ancestors_fire_later(tree, anchors):
+    """The all-pairs order check that the root-path walk replaced: every
+    record against every proper ancestor of its anchor, an anchor recorded
+    twice counting with its earliest iteration."""
+    fired = {}
+    for rec in anchors:
+        fired[rec.anchor] = min(rec.iteration, fired.get(rec.anchor, rec.iteration))
+    return all(
+        fired.get(u, rec.iteration + 1) > rec.iteration
+        for rec in anchors
+        for u in tree.ancestors(rec.anchor) - {rec.anchor}
+    )
+
+
+def _order_traces(count, seed):
+    """(tree, anchor records): the traces of ``cover`` on seeded random trees
+    and caterpillars, whose anchors sit on one path, most of them corrupted
+    in one of four ways: an anchor recorded twice, iterations shifted up and
+    down, an anchor moved onto the root path of another, or an anchor out of
+    range."""
+    rng = SplitMix64(seed)
+    for i in range(count):
+        if i % 3 == 0:
+            # a caterpillar: a zero-size spine, two size-3 leaves per spine vertex
+            spine = 1 + rng.randrange(20)
+            parent = [None] + list(range(spine - 1)) + [v for v in range(spine) for _ in "ab"]
+            inst = CtInstance(SizedOutTree(parent, [0] * spine + [3] * (2 * spine)), 10)
+        else:
+            n = 1 + rng.randrange(30)
+            k = 4 + rng.randrange(10)
+            parent = [None] + [rng.randrange(v) for v in range(1, n)]
+            size = [0 if rng.randrange(3) == 0 else rng.randint(1, 1 + k // 8) for _ in range(n)]
+            inst = CtInstance(SizedOutTree(parent, size), k)
+        tree, n = inst.tree, inst.tree.vertex_count
+        try:
+            anchors = list(cover(inst).trace.anchors)
+        except InfeasibleInstance:
+            anchors = []
+        if not anchors:
+            anchors = [AnchorRecord(rng.randrange(n), 1 + rng.randrange(3), 0, 1, 0, frozenset(), ())]
+        j = rng.randrange(len(anchors))
+        how = i % 5
+        if how == 1:
+            twin = replace(anchors[j], iteration=anchors[j].iteration + rng.randint(-2, 2))
+            anchors.insert(rng.randrange(len(anchors) + 1), twin)
+        elif how == 2:
+            anchors = [
+                replace(rec, iteration=rec.iteration + rng.randint(-2, 2))
+                if rng.randrange(2) else rec
+                for rec in anchors
+            ]
+        elif how == 3:
+            path = sorted(tree.ancestors(anchors[rng.randrange(len(anchors))].anchor))
+            anchors[j] = replace(anchors[j], anchor=path[rng.randrange(len(path))])
+        elif how == 4:
+            bad = n + rng.randrange(3) if rng.randrange(2) else -1 - rng.randrange(3)
+            anchors[j] = replace(anchors[j], anchor=bad)
+        yield tree, tuple(anchors)
+
+
+def _outcome(check, tree, anchors):
+    try:
+        return check(tree, anchors)
+    except InputError as exc:
+        return str(exc)
+
+
+def test_order_check_matches_the_all_pairs_oracle():
+    """The root-path walk gives the all-pairs check's verdict on 2,500 traces,
+    corrupted ones included, and raises the same ``InputError`` where it
+    raises one."""
+    seen = {True: 0, False: 0, "raised": 0}
+    for i, (tree, anchors) in enumerate(_order_traces(2500, 1616)):
+        want = _outcome(_oracle_ancestors_fire_later, tree, anchors)
+        assert _outcome(verify._ancestors_fire_later, tree, anchors) == want, i
+        seen["raised" if isinstance(want, str) else want] += 1
+    assert seen[True] >= 1500
+    assert seen[False] >= 250
+    assert seen["raised"] >= 400
 
 
 # ---------------------------------------------------------------------------
