@@ -97,7 +97,28 @@ def doc_to_instance(doc: dict[str, Any]) -> Instance:
 
 
 def dumps_instance(instance: Instance) -> str:
-    return json.dumps(instance_to_doc(instance), sort_keys=True, indent=1) + "\n"
+    """The instance file: json's bytes for ``instance_to_doc`` with sorted
+    keys, a one-space indent and a trailing newline, written without the
+    pure-Python encoder that json falls back to whenever it indents.  It
+    relies on what ``instance_to_doc`` emits: ints (the model constructors
+    reject bools and floats), lists of ints or of nonempty int lists, one
+    null in the ct ``parent`` list, and one string, ``kind``."""
+    fields = []
+    for key, value in sorted(instance_to_doc(instance).items()):
+        if type(value) is not list:
+            text = str(value) if type(value) is int else json.dumps(value)
+        elif not value:
+            text = "[]"
+        else:
+            if key == "parent":  # the root's null: json's C encoder, re-spaced
+                body = json.dumps(value)[1:-1].replace(", ", ",\n  ")
+            elif type(value[0]) is list:
+                body = ",\n  ".join(["[\n   " + ",\n   ".join(map(str, v)) + "\n  ]" for v in value])
+            else:
+                body = ",\n  ".join(map(str, value))
+            text = "[\n  " + body + "\n ]"
+        fields.append(f'"{key}": {text}')
+    return "{\n " + ",\n ".join(fields) + "\n}\n"
 
 
 def loads_instance(text: str) -> Instance:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -46,6 +47,63 @@ def test_gen_count_makes_directory(tmp_path, capsys):
     )
     assert code == 0
     assert len(list(out.glob("*.json"))) == 3
+
+
+# SHA-256 of the file `gen --out` writes, one spec per generator kind.  The
+# digests pin the exact bytes of an instance file; they change only with a
+# deliberate change of the file format or of a generator.
+GEN_OUT_DIGESTS = [
+    (
+        ["--kind", "out_tree", "--n", "300", "--k", "40", "--seed", "7"],
+        "b00db50a7ce1b331a2bec503d42552fda4642891d796d8cc91bedab286d6f539",
+    ),
+    (
+        ["--kind", "bp_star", "--k", str(2**70), "--shape",
+         json.dumps({"items": [0, 5, 2**70, 2**64]})],
+        "ac16c838edbca3c5d460c8d703b08b9ccc9c3d1f796ccb01557c46ee76ecf052",
+    ),
+    (
+        ["--kind", "dag", "--n", "14", "--k", "5", "--seed", "5"],
+        "2639698115ff107170dc1238c4f045ecb9c8457fdf93f3bd4aa1af598970981d",
+    ),
+    (
+        ["--kind", "digraph", "--n", "12", "--k", "4", "--seed", "6",
+         "--shape", '{"profit_range": [0, 100000]}'],
+        "7cce9235ffed8f792a2075151a31ff1634050f532c58d92e136eb9b4802bc1a0",
+    ),
+    (
+        ["--kind", "hypergraph", "--n", "16", "--k", "5", "--seed", "8"],
+        "5276893e601df83888df34164ad9ea73c959837d8d9a343efa72f19a0c91d389",
+    ),
+    (
+        ["--kind", "bpcc", "--n", "25", "--k", "30", "--seed", "9"],
+        "7837ff23c3a75d2c76cbf2df31f34cad2991fcd9c642192ae5037dedcaafc455",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GEN_OUT_DIGESTS)
+def test_gen_out_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    out = tmp_path / "inst.json"
+    code, _, _ = run(capsys, "gen", *argv, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_gen_count_directory_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "batch"
+    code, _, _ = run(
+        capsys,
+        "gen", "--kind", "hypergraph", "--n", "9", "--k", "3",
+        "--seed", "20", "--count", "2", "--out", str(out),
+    )
+    assert code == 0
+    paths = sorted(out.iterdir())
+    assert [p.name for p in paths] == ["hypergraph_20.json", "hypergraph_21.json"]
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == "426c38a214236f8744ba1e2c1da7278a84f2c96febd6e64269172c6a63824717"
 
 
 def test_solve_approx_and_exact(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pocover.exact import exact_dksh, exact_rcp
+from pocover.exact import SizeGuardError, exact_dksh, exact_rcp
+from pocover.generate import GenSpec, SplitMix64, generate
 from pocover.model import (
     BpccInstance,
     Digraph,
@@ -361,3 +362,77 @@ def test_optimum_preservation_spot_checks():
     from pocover.exact import exact_bpcc, exact_ct
 
     assert exact_bpcc(bpcc)[1] == len(exact_ct(bpcc_to_ct(bpcc).target))
+
+
+# ---------------------------------------------------------------------------
+# solution maps on drawn, not optimal, solutions past the exact guards
+
+
+def _closed_draws(rng, target, draw_seed, count):
+    """``count`` closed sets of ``target`` within its budget, each the
+    closure of the vertices ``draw_seed(rng)`` returns."""
+    drawn = []
+    while len(drawn) < count:
+        members = closure(target.graph, draw_seed(rng))
+        if len(members) <= target.budget:
+            drawn.append(members)
+    return drawn
+
+
+def test_dksh_rcp_project_keeps_the_budget_and_the_value_past_the_guard():
+    """A closed target set within the budget projects to a vertex selection
+    within the hypergraph budget whose contained weight is at least the set's
+    profit.  Each target has 24 edge-vertices, past the sink walk's guard."""
+    rng = SplitMix64(17)
+    checked = 0
+    for seed in range(10):
+        spec = GenSpec("hypergraph", n=12, k=4, seed=seed, shape={"num_edges": 24})
+        dksh = generate(spec)
+        art = dksh_to_rcp(dksh)
+        target = art.target
+        with pytest.raises(SizeGuardError):
+            exact_rcp(target)
+        size, m = target.graph.vertex_count, art.parameters["m"]
+
+        def draw_seed(rng):
+            # one to three edge-vertices, sometimes with a lone vertex copy
+            seed = [size - m + rng.randrange(m) for _ in range(1 + rng.randrange(3))]
+            return seed + [rng.randrange(size)] * rng.randrange(2)
+
+        for members in _closed_draws(rng, target, draw_seed, 100):
+            selection = dksh_rcp_map(art, members, "project")
+            assert len(selection) <= dksh.budget
+            profit = sum(target.profit[v] for v in members)
+            assert contained_hyperedges(dksh, selection)[1] >= profit
+            checked += 1
+    assert checked == 1000
+
+
+def test_augment_project_keeps_the_budget_and_the_profit_past_the_guard():
+    """A closed target set within the budget holds whole gadgets, so it
+    projects to a closed selection within the source budget, of equal
+    profit and with exactly ``t`` target vertices per selected vertex.  Each
+    source has 24 vertices, so the target has 24 components."""
+    rng = SplitMix64(29)
+    checked = 0
+    for seed in range(10):
+        spec = GenSpec("dag", n=24, k=6, seed=seed, shape={"edge_density": 0.1})
+        rcp = generate(spec)
+        art = degree_augment(rcp)
+        target, t = art.target, art.parameters["t"]
+        with pytest.raises(SizeGuardError):
+            exact_rcp(target)
+        size = target.graph.vertex_count
+
+        def draw_seed(rng):
+            return [rng.randrange(size) for _ in range(1 + rng.randrange(3))]
+
+        for members in _closed_draws(rng, target, draw_seed, 100):
+            selection = augment_map(art, members, "project")
+            assert is_closed(rcp.graph, selection)
+            assert len(selection) <= rcp.budget
+            assert len(members) == t * len(selection)
+            profit = sum(target.profit[v] for v in members)
+            assert sum(rcp.profit[x] for x in selection) == profit
+            checked += 1
+    assert checked == 1000

@@ -4,7 +4,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pocover.generate import GenSpec, generate
-from pocover.model import CtInstance, InputError, SizedOutTree, validate_cover
+from pocover.model import (
+    BpccInstance,
+    CtInstance,
+    Digraph,
+    DkshInstance,
+    InputError,
+    RcpInstance,
+    SizedOutTree,
+    validate_cover,
+)
+from pocover.reductions import (
+    bpcc_to_ct,
+    degree_augment,
+    dks_to_urcp,
+    dksh_to_rcp,
+    rcp_to_dksh,
+)
 from pocover.serialize import (
     cover_to_doc,
     doc_to_instance,
@@ -181,3 +197,49 @@ def test_loads_instance_raises_only_input_errors(text):
         except InfeasibleInstance:
             return
         assert validate_cover(instance, result.cover) is None
+
+
+# ---------------------------------------------------------------------------
+# instance files against json's own indenting encoder
+
+
+def _json_reference(instance) -> str:
+    return json.dumps(instance_to_doc(instance), sort_keys=True, indent=1) + "\n"
+
+
+def _file_corpus():
+    """Every generator kind on a seeded grid, every reduction target, a
+    degree-augment target past 10^4 vertices, and the edge cases: a 1-vertex
+    tree, an edgeless digraph, a star with no items, values at 2^64 and up."""
+    for kind in KINDS:
+        for seed in range(300):
+            yield generate(GenSpec(kind=kind, n=1 + seed % 13, k=1 + seed % 7, seed=seed))
+    for seed in range(40):
+        spec = dict(n=2 + seed % 6, k=1 + seed % 4, seed=seed)
+        digraph = generate(GenSpec(kind="digraph", **spec))
+        yield bpcc_to_ct(generate(GenSpec(kind="bpcc", **spec))).target
+        yield dksh_to_rcp(generate(GenSpec(kind="hypergraph", **spec))).target
+        yield rcp_to_dksh(digraph).target
+        yield dks_to_urcp(digraph.graph, spec["k"], 1 + seed % 2).target
+        yield degree_augment(digraph).target
+    big = degree_augment(generate(GenSpec(kind="dag", n=50, k=3, seed=1))).target
+    assert big.graph.vertex_count >= 10**4
+    yield big
+    yield CtInstance(SizedOutTree([None], [0]), 1)
+    yield CtInstance(SizedOutTree([None], [5]), 6)
+    yield RcpInstance(Digraph(3, []), [0, 1, 2], 2)
+    yield generate(GenSpec(kind="bp_star", n=4, k=3, seed=0, shape={"items": []}))
+    yield DkshInstance(3, [], [], 1)
+    huge = 2**64
+    yield CtInstance(SizedOutTree([None, 0, 0], [huge, 1, huge + 7]), 2 * huge + 8)
+    yield RcpInstance(Digraph(2, [(0, 1)]), [huge, 3**50], huge)
+    yield DkshInstance(3, [[0, 2], [1]], [huge, 2**100], 2)
+    yield BpccInstance([[0, 1], [2]], [huge, 0, huge - 1], 2**65)
+
+
+def test_instance_files_match_the_json_reference():
+    count = 0
+    for instance in _file_corpus():
+        assert dumps_instance(instance) == _json_reference(instance)
+        count += 1
+    assert count >= 2000

@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import json
+import random
 from collections import namedtuple
 
 import pytest
@@ -534,6 +535,56 @@ def test_factor_two_is_tight_at_scale():
     assert len(result.cover) / opt > 1.99
     b = bounds(result.trace, inst)
     assert b.lower <= opt
+    checks = structural_checks(inst, result.cover, result.trace)
+    assert [name for name, ok in checks if not ok] == []
+
+
+def _planted(t, k, r, max_part, max_size, seed):
+    """A root of size r over subtrees whose weights split into t groups of
+    exactly k - r each, hung under the root in shuffled order.  Every
+    configuration holds the root, so OPT >= t, and each group with the root
+    is a configuration, so OPT = t.  Each subtree's vertices weigh 1 to
+    ``max_size`` and hang under a random earlier vertex of the subtree.
+    Returns the instance and the planted optimal cover."""
+    rng = random.Random(seed)
+    rnd = rng.random
+    parts = []  # (group, subtree weight)
+    for g in range(t):
+        left = k - r
+        while left:
+            w = 1 + int(rnd() * min(left, max_part))
+            parts.append((g, w))
+            left -= w
+    rng.shuffle(parts)
+    parent, size = [None], [r]
+    groups = [[0] for _ in range(t)]
+    for g, w in parts:
+        top = len(parent)
+        parent.append(0)
+        while True:
+            s = 1 + int(rnd() * min(w, max_size))
+            size.append(s)
+            w -= s
+            if not w:
+                break
+            parent.append(top + int(rnd() * (len(parent) - top)))
+        groups[g] += range(top, len(parent))
+    return CtInstance(SizedOutTree(parent, size), k), [frozenset(g) for g in groups]
+
+
+@pytest.mark.parametrize(
+    "t, k, r, max_part, max_size, seed",
+    [
+        (20_000, 10, 2, 8, 8, 1),  # ~89K vertices, some leaves forced
+        (1_500, 1000, 100, 300, 40, 2),  # ~101K vertices, subtrees of ~6
+    ],
+)
+def test_factor_two_on_planted_trees_at_scale(t, k, r, max_part, max_size, seed):
+    inst, planted = _planted(t, k, r, max_part, max_size, seed)
+    assert validate_cover(inst, planted) is None and len(planted) == t
+    result = cover(inst)
+    b = bounds(result.trace, inst)
+    assert b.lower <= t <= len(result.cover) <= 2 * t
     checks = structural_checks(inst, result.cover, result.trace)
     assert [name for name, ok in checks if not ok] == []
 
