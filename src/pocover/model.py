@@ -10,13 +10,18 @@ quantity must be a plain ``int`` (a ``bool`` or ``float`` raises
 freely across workers.  The one derived cache, a ``Digraph``'s condensation,
 depends only on the graph, is filled once on first use, and takes no part in
 comparison or hashing.
+
+A ``Digraph`` runs each of its checks as one whole-list pass in C (``map``,
+``set``, ``min``, ``max``, ``sorted``).  Only when a pass fails does it scan
+item by item, to name the first offender: in input order for an edge that is
+not a pair, in sorted edge order for a self-loop or an endpoint out of range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, starmap
+from operator import eq, itemgetter
 from typing import Iterable, Optional, Sequence
 
 
@@ -141,25 +146,38 @@ class Digraph:
         _check_ints((vertex_count,), "vertex count")
         if vertex_count < 1:
             raise InputError("graph must have at least one vertex")
-        pairs = [tuple(e) for e in edges]
-        for e in pairs:
-            if len(e) != 2:
-                raise InputError(f"edge {list(e)} is not a pair")
-        _check_ints(chain.from_iterable(pairs), "edge endpoints")
-        dedup = sorted(set(pairs))
-        for u, v in dedup:
-            if u == v:
-                raise InputError(f"self-loop ({u},{v}) is not allowed")
-        _check_range(vertex_count, (x for e in dedup for x in e), "edges")
+        edges = list(edges)  # read twice when an edge is not a sequence
+        try:
+            pairs = list(map(tuple, edges))
+        except TypeError:
+            for e in edges:
+                try:
+                    tuple(e)
+                except TypeError:
+                    raise InputError(f"edge {e!r} is not a pair") from None
+            raise
+        if set(map(len, pairs)) - {2}:
+            e = next(e for e in pairs if len(e) != 2)
+            raise InputError(f"edge {list(e)} is not a pair")
+        ends = list(chain.from_iterable(pairs))
+        _check_ints(ends, "edge endpoints")
+        # First occurrences keep the sorted runs the reductions emit, which
+        # the sort then merges in near-linear time.
+        dedup = tuple(sorted(dict.fromkeys(pairs)))
+        if any(starmap(eq, dedup)):
+            u, v = next(e for e in dedup if e[0] == e[1])
+            raise InputError(f"self-loop ({u},{v}) is not allowed")
+        if ends and not (0 <= min(ends) and max(ends) < vertex_count):
+            _check_range(vertex_count, chain.from_iterable(dedup), "edges")
         succ: list[list[int]] = [[] for _ in range(vertex_count)]
         pred: list[list[int]] = [[] for _ in range(vertex_count)]
         for u, v in dedup:
             succ[u].append(v)
             pred[v].append(u)
         object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", tuple(dedup))
-        object.__setattr__(self, "successors", tuple(tuple(s) for s in succ))
-        object.__setattr__(self, "predecessors", tuple(tuple(p) for p in pred))
+        object.__setattr__(self, "edges", dedup)
+        object.__setattr__(self, "successors", tuple(map(tuple, succ)))
+        object.__setattr__(self, "predecessors", tuple(map(tuple, pred)))
 
 
 @dataclass(frozen=True)
@@ -179,7 +197,7 @@ class RcpInstance:
         if len(profit) != graph.vertex_count:
             raise InputError("profit array length must match vertex count")
         _check_ints(profit, "profits")
-        if any(p < 0 for p in profit):
+        if min(profit) < 0:
             raise InputError("profits must be nonnegative")
         _check_ints((budget,), "budget")
         if budget < 1:

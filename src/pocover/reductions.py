@@ -22,6 +22,7 @@ edge lists are emitted in ascending order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, permutations, product
 from typing import Optional
 
 from .model import (
@@ -219,16 +220,10 @@ def dks_to_urcp(graph: Digraph, k: int, m: int) -> ReductionArtifact:
     width = 2 * m
     arcs: list[tuple[int, int]] = []
     for v in range(n):
-        base = v * width
-        for i in range(width):
-            for j in range(width):
-                if i != j:
-                    arcs.append((base + i, base + j))
+        arcs += permutations(range(v * width, (v + 1) * width), 2)
     for j, (u, v) in enumerate(und):
-        ev = n * width + j
-        for x in (u, v):
-            for i in range(width):
-                arcs.append((x * width + i, ev))
+        feeders = chain(range(u * width, (u + 1) * width), range(v * width, (v + 1) * width))
+        arcs += product(feeders, (n * width + j,))
     h_m = 2 * k * m + m
     target = RcpInstance(
         Digraph(n * width + len(und), arcs), [1] * (n * width + len(und)), h_m
@@ -332,25 +327,33 @@ def degree_augment(rcp: RcpInstance) -> ReductionArtifact:
         raise InputError("degree reduction needs at least two vertices")
     m, l0, t = _gadget_dims(n)
 
-    # A level at depth d sits at offset 2**d - 2 of its tree; the out-tree
-    # starts 2m - 2 after the in-tree, and the leaf level (d = l0) at m - 2.
-    arcs: list[tuple[int, int]] = []
+    # One gadget's arcs between its own block's vertices, as offsets from the
+    # block start and sorted.  A level at depth d sits at offset 2**d - 2 of
+    # its tree; the out-tree starts 2m - 2 after the in-tree, and the leaf
+    # level (d = l0) at m - 2.
+    out = 2 * m - 2
+    inner: list[tuple[int, int]] = []
+    for level in range(1, l0):
+        up = 2**level - 2
+        down = 2 * up + 2
+        for i in range(2**level):
+            inner += [
+                (down + 2 * i, up + i),
+                (down + 2 * i + 1, up + i),
+                (out + up + i, out + down + 2 * i),
+                (out + up + i, out + down + 2 * i + 1),
+            ]
+    inner += [(out + i, i) for i in range(m - 2, 2 * m - 2)]
+    inner.sort()
+    # Original ids sort below every block, so the arcs come in three sorted
+    # runs: each root to its out-tree's top level; block by block, the
+    # in-tree's top level to the root and then the gadget's own arcs; the
+    # cross arcs.
+    arcs = [(x, n + x * (t - 1) + out + i) for x in range(n) for i in (0, 1)]
     for x in range(n):
         base = n + x * (t - 1)
-        out = base + 2 * m - 2
-        arcs += [(base, x), (base + 1, x), (x, out), (x, out + 1)]
-        for level in range(1, l0):
-            up = 2**level - 2
-            down = 2 * up + 2
-            for i in range(2**level):
-                arcs += [
-                    (base + down + 2 * i, base + up + i),
-                    (base + down + 2 * i + 1, base + up + i),
-                    (out + up + i, out + down + 2 * i),
-                    (out + up + i, out + down + 2 * i + 1),
-                ]
-        for i in range(m - 2, 2 * m - 2):
-            arcs.append((out + i, base + i))
+        arcs += [(base, x), (base + 1, x)]
+        arcs += [(base + a, base + b) for a, b in inner]
     for x, y in rcp.graph.edges:
         arcs.append((n + x * (t - 1) + 3 * m - 4 + y, n + y * (t - 1) + m - 2 + x))
 

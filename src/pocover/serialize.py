@@ -82,7 +82,7 @@ def doc_to_instance(doc: dict[str, Any]) -> Instance:
             # before the graph allocates n adjacency lists
             if type(n) is int and n > 0 and len(profit) != n:
                 raise InputError("profit array length must match vertex count")
-            graph = Digraph(n, [tuple(e) for e in edges])
+            graph = Digraph(n, edges)
             return RcpInstance(graph, profit, doc["k"])
         if kind == "dksh":
             return DkshInstance(doc["n"], doc["hyperedges"], doc["weight"], doc["k"])

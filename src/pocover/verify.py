@@ -387,23 +387,24 @@ def _gadgets_connected(artifact) -> bool:
 
     One forward and one backward search per gadget, each following only arcs
     whose far end has the same owner: every vertex and edge is looked at a
-    constant number of times, O(V + E)."""
+    constant number of times, O(V + E).  Gadgets are disjoint, so one flat
+    ``seen`` list per direction serves every gadget's search."""
     graph: Digraph = artifact.target.graph
     n = artifact.source.graph.vertex_count
     t = artifact.parameters["t"]
     owner = reductions._gadget_owners(n, t)
-    for x in range(n):
-        for adjacency in (graph.successors, graph.predecessors):
-            seen = {x}
-            stack = [x]
-            while stack:
-                v = stack.pop()
+    for adjacency in (graph.successors, graph.predecessors):
+        seen = [False] * len(owner)
+        for x in range(n):
+            seen[x] = True
+            found = [x]
+            for v in found:  # breadth-first: the loop reads what it appends
                 for w in adjacency[v]:
-                    if owner[w] == x and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+                    if not seen[w] and owner[w] == x:
+                        seen[w] = True
+                        found.append(w)
             # the search stays inside x's gadget, which has t vertices
-            if len(seen) != t:
+            if len(found) != t:
                 return False
     return True
 

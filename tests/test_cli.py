@@ -360,6 +360,43 @@ def test_reduce_every_kind(tmp_path, capsys, kind, source, extra, target_kind, p
     doc_to_instance(doc)  # the artifact parses back as a plain instance
 
 
+# SHA-256 of `reduce` stdout for one seeded source file per reduction kind.
+# Every target edge list is written in full, so a builder that drops, adds or
+# reorders an arc changes its digest.
+REDUCE_DIGESTS = [
+    (
+        "bpcc_to_ct", ["--kind", "bpcc", "--n", "25", "--k", "30", "--seed", "9"], [],
+        "9b742b771b06ad4537bd4ccfb648d568aeb7fafdc1db8c63f7229557e071bae3",
+    ),
+    (
+        "dksh_to_rcp", ["--kind", "hypergraph", "--n", "8", "--k", "3", "--seed", "8"], [],
+        "8b7e8b7737e5445303d5605d174e852d148581caaa49c1de67969f50e6c2289e",
+    ),
+    (
+        "rcp_to_dksh", ["--kind", "dag", "--n", "14", "--k", "5", "--seed", "5"], [],
+        "40e82891e3d5b5163925f3f26ff140176a1c25e0546fda6651efd720bb36e4c8",
+    ),
+    (
+        "dks_to_urcp", ["--kind", "digraph", "--n", "10", "--k", "4", "--seed", "6"], ["--m", "2"],
+        "1fac5d8fffcdcba1f839cef605c699eef1eb097729953b5dd7d1033418bae8cb",
+    ),
+    (
+        "degree_augment", ["--kind", "digraph", "--n", "12", "--k", "4", "--seed", "6"], [],
+        "7b5e74369b7f61547727c3deb5e92bbbc29200704a90b239fdc47324138f0d82",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, gen_argv, extra, digest", REDUCE_DIGESTS)
+def test_reduce_output_bytes_are_pinned(tmp_path, capsys, kind, gen_argv, extra, digest):
+    source = tmp_path / "source.json"
+    code, _, _ = run(capsys, "gen", *gen_argv, "--out", str(source))
+    assert code == 0
+    code, out, err = run(capsys, "reduce", "--kind", kind, *extra, str(source))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, doc",
     [
@@ -477,6 +514,21 @@ def test_non_integer_or_misshapen_document_exits_two(tmp_path, capsys, doc):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("pocover: error: ")
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[0, 1], 5], "edge 5 is not a pair"),
+        ([None], "edge None is not a pair"),
+        (5, "rcp document has a field of the wrong shape: 'int' object is not iterable"),
+    ],
+)
+def test_an_edge_that_is_not_a_sequence_is_named(tmp_path, capsys, edges, message):
+    path = _write(tmp_path, {**RCP, "edges": edges})
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 2 and out == ""
+    assert err == f"pocover: error: {message}\n"
 
 
 @pytest.mark.parametrize(

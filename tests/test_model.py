@@ -1,3 +1,6 @@
+import random
+from itertools import chain
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +10,10 @@ from pocover.model import (
     Digraph,
     DkshInstance,
     InputError,
+    RcpInstance,
     SizedOutTree,
+    _check_ints,
+    _check_range,
     closure,
     contained_hyperedges,
     is_closed,
@@ -57,6 +63,102 @@ def test_digraph_deduplicates_and_validates():
         Digraph(2, [(0, 0)])
     with pytest.raises(InputError):
         Digraph(2, [(0, 5)])
+
+
+def test_digraph_names_an_edge_that_is_not_a_sequence():
+    with pytest.raises(InputError, match=r"^edge 5 is not a pair$"):
+        Digraph(2, [5])
+    with pytest.raises(InputError, match=r"^edge None is not a pair$"):
+        Digraph(3, [(0, 1), None, 7])
+    with pytest.raises(TypeError):  # the edge list itself is not iterable
+        Digraph(2, 5)
+
+
+@pytest.mark.parametrize("profit", [[0, -1, 2], [-1, 0, 0], [5, 5, -7]])
+def test_rcp_instance_rejects_a_negative_profit(profit):
+    with pytest.raises(InputError, match=r"^profits must be nonnegative$"):
+        RcpInstance(Digraph(3, [(0, 1)]), profit, 1)
+    RcpInstance(Digraph(3, [(0, 1)]), [max(p, 0) for p in profit], 1)
+
+
+def _oracle_digraph(vertex_count, edges):
+    """The item-by-item constructor the whole-list checks replaced, returning
+    (edges, successors, predecessors)."""
+    _check_ints((vertex_count,), "vertex count")
+    if vertex_count < 1:
+        raise InputError("graph must have at least one vertex")
+    pairs = [tuple(e) for e in edges]
+    for e in pairs:
+        if len(e) != 2:
+            raise InputError(f"edge {list(e)} is not a pair")
+    _check_ints(chain.from_iterable(pairs), "edge endpoints")
+    dedup = sorted(set(pairs))
+    for u, v in dedup:
+        if u == v:
+            raise InputError(f"self-loop ({u},{v}) is not allowed")
+    _check_range(vertex_count, (x for e in dedup for x in e), "edges")
+    succ = [[] for _ in range(vertex_count)]
+    pred = [[] for _ in range(vertex_count)]
+    for u, v in dedup:
+        succ[u].append(v)
+        pred[v].append(u)
+    return tuple(dedup), tuple(tuple(s) for s in succ), tuple(tuple(p) for p in pred)
+
+
+def _seeded_edge_list(rng):
+    """A vertex count and an edge list that is mostly well formed, with the
+    faults the constructor checks drawn now and then."""
+    size = rng.randrange(9)
+    n = rng.choice([True, float(size), str(size)]) if rng.random() < 0.02 else size
+    edges = []
+    for _ in range(rng.randrange(12)):
+        r = rng.random()
+        if r < 0.15 and edges:
+            edges.append(rng.choice(edges))  # a duplicate, in any position
+        elif r < 0.955:
+            u, v = rng.randrange(max(size, 1)), rng.randrange(max(size, 1))
+            if u == v and size > 1 and rng.random() < 0.95:
+                v = (u + 1 + rng.randrange(size - 1)) % size
+            if rng.random() < 0.04:
+                u = rng.randrange(-2, size + 2)
+            edges.append([u, v] if rng.random() < 0.3 else (u, v))
+        elif r < 0.965:
+            edges.append((rng.choice([True, False, 0.0, 1.5]), rng.randrange(max(size, 1))))
+        elif r < 0.975:
+            edges.append((rng.randrange(max(size, 1)), rng.choice([True, 1.0, "1"])))
+        elif r < 0.985:
+            edges.append([rng.randrange(max(size, 1))])
+        elif r < 0.995:
+            edges.append((0, 1, 2))
+        else:
+            edges.append([])
+    if rng.random() < 0.3:
+        edges.sort(key=lambda e: [str(x) for x in e])
+    return n, edges
+
+
+def test_digraph_matches_the_checked_oracle():
+    """The whole-list checks build the same graph as the item-by-item scans,
+    or raise the same error with the same message."""
+    rng = random.Random(20261019)
+    built = 0
+    kinds = ("vertex count:", "graph must", "not a pair", "endpoints:", "self-loop", "out of range")
+    seen = set()
+    for _ in range(20000):
+        n, edges = _seeded_edge_list(rng)
+        try:
+            expected = _oracle_digraph(n, edges)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                Digraph(n, iter(edges) if rng.random() < 0.5 else edges)
+            assert str(got.value) == str(exc)
+            seen.update(kind for kind in kinds if kind in str(exc))
+            continue
+        g = Digraph(n, iter(edges) if rng.random() < 0.5 else edges)
+        assert (g.edges, g.successors, g.predecessors) == expected
+        built += 1
+    assert built >= 5000
+    assert seen == set(kinds)
 
 
 # Small reference graph: arcs 3->0, 0->1, 2->1 (a fan into vertex 1).

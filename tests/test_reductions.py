@@ -231,6 +231,43 @@ def test_dks_to_urcp_copy_groups_all_or_nothing():
         assert grabbed >= set(range(4 * v, 4 * v + 4))
 
 
+def _oracle_dks_to_urcp_graph(graph, m):
+    """The per-arc loops that built dks_to_urcp's target graph before it
+    emitted whole cliques and feeder runs."""
+    n = graph.vertex_count
+    und = undirected_edges(graph)
+    width = 2 * m
+    arcs = []
+    for v in range(n):
+        base = v * width
+        for i in range(width):
+            for j in range(width):
+                if i != j:
+                    arcs.append((base + i, base + j))
+    for j, (u, v) in enumerate(und):
+        ev = n * width + j
+        for x in (u, v):
+            for i in range(width):
+                arcs.append((x * width + i, ev))
+    return Digraph(n * width + len(und), arcs)
+
+
+def test_dks_to_urcp_matches_the_per_arc_builder():
+    rng = SplitMix64(18)
+    graphs = 0
+    for n in range(1, 11):
+        for density in (0, 1, 3, 6):  # in sixths; 0 is edgeless
+            arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.randrange(6) < density]
+            graph = Digraph(n, arcs)
+            graphs += 1
+            for m in range(1, 7):
+                expected = _oracle_dks_to_urcp_graph(graph, m)
+                target = dks_to_urcp(graph, 2, m).target.graph
+                assert target.vertex_count == expected.vertex_count
+                assert target.edges == expected.edges
+    assert graphs == 40
+
+
 @pytest.mark.parametrize(
     "edges,n,k,expected_edges",
     [
@@ -281,6 +318,48 @@ def test_degree_augment_two_vertex_edge_set():
         (5, 6),  # out-leaf of x labelled y -> in-leaf of y labelled x
     }
     assert set(art.target.graph.edges) == expected
+
+
+def _oracle_degree_augment_graph(rcp):
+    """The level loops that built degree_augment's target graph, run again
+    for every vertex, before one gadget's offsets were shifted per block."""
+    n = rcp.graph.vertex_count
+    m = 1
+    while m < n:
+        m *= 2
+    l0 = m.bit_length() - 1
+    t = 4 * m - 3
+    arcs = []
+    for x in range(n):
+        base = n + x * (t - 1)
+        out = base + 2 * m - 2
+        arcs += [(base, x), (base + 1, x), (x, out), (x, out + 1)]
+        for level in range(1, l0):
+            up = 2**level - 2
+            down = 2 * up + 2
+            for i in range(2**level):
+                arcs += [
+                    (base + down + 2 * i, base + up + i),
+                    (base + down + 2 * i + 1, base + up + i),
+                    (out + up + i, out + down + 2 * i),
+                    (out + up + i, out + down + 2 * i + 1),
+                ]
+        for i in range(m - 2, 2 * m - 2):
+            arcs.append((out + i, base + i))
+    for x, y in rcp.graph.edges:
+        arcs.append((n + x * (t - 1) + 3 * m - 4 + y, n + y * (t - 1) + m - 2 + x))
+    return Digraph(n * t, arcs)
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 65, 100, 128])
+def test_degree_augment_matches_the_level_loops(n):
+    rng = SplitMix64(n)
+    arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
+    rcp = RcpInstance(Digraph(n, [(u, v) for u, v in arcs if u != v]), [1] * n, 1)
+    expected = _oracle_degree_augment_graph(rcp)
+    target = degree_augment(rcp).target.graph
+    assert target.vertex_count == expected.vertex_count
+    assert target.edges == expected.edges
 
 
 def test_degree_augment_dims_scale():
