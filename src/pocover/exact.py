@@ -7,17 +7,20 @@ rather than silently degrading.
 
 The profit-maximization solver works on the strongly-connected-component
 condensation, which ``_scc`` computes once per graph, in topological order,
-for it and the round-trip checks.  It has three exhaustive walks: closed
-component subsets (2^c masks for c components), and, when the condensation is
-two-layered (source components feeding singleton sinks, the shape of the
-reduction gadgets in this package), sink subsets (2^|sinks|, only when no
-source carries profit) or source subsets (2^|sources|).  The walk with the
-fewest masks runs, up to a ceiling of 2^20 masks.  The answer does not depend
-on which one: every walk returns the maximum profit and, among the closed sets
-within the budget that reach it, the one with the lexicographically smallest
-sorted vertex tuple.  Each walk reads a mask's size, profit and predecessors
-from tables with one entry per mask (``_subset_table``), so the ceiling bounds
-memory too: a 2^20-mask walk peaks at about 45-120 MB.
+for it and the round-trip checks.  It has two exhaustive walks.  The component
+walk enumerates closed subsets of the components (2^c masks for c
+components), or, when the condensation is two-layered (source components
+feeding singleton sinks, the shape of the reduction gadgets in this package),
+only the sources (2^|sources|), each completed with the best sinks it enables.
+The sink walk enumerates sink subsets (2^|sinks|); it runs instead on a
+two-layered condensation whose sources carry no profit and number at least
+as many as the sinks.  So the walk with the fewest masks runs, up to a
+ceiling of 2^20.  The answer does not depend on which one: every walk
+returns the maximum profit and, among the closed sets within the budget that
+reach it, the one with the lexicographically smallest sorted vertex tuple.
+Each walk reads a mask's size, profit and predecessors from tables with one
+entry per mask (``_subset_table``), so the ceiling bounds memory too: a
+2^20-mask walk peaks at about 45-120 MB.
 
 The tree-covering solver branches only on maximal configurations, and its
 enumeration walks only toward those, cutting each partial set that can no
@@ -170,39 +173,32 @@ def exact_ct(instance: CtInstance) -> Cover:
 def exact_rcp(instance: RcpInstance) -> tuple[frozenset[int], int]:
     """A profit-maximal predecessor-closed set of bounded cardinality.
 
-    Exhaustive over closed sets.  The walks are component subsets, and, on a
-    two-layered condensation, sink subsets (only when no source carries
-    profit) and source subsets.  The one with the fewest masks runs, and
-    ``SizeGuardError`` is raised when even that one needs more than 2^20.
-    The result does not depend on that choice: ties go to the
+    Exhaustive over closed sets.  The component walk takes every component
+    subset, or, on a two-layered condensation, every source subset completed
+    with the best sinks it enables; the sink walk takes sink subsets, and
+    runs instead when no source carries profit and there are no more sinks
+    than sources.  ``SizeGuardError`` is raised when the walk needs more than
+    2^20 masks.  The result does not depend on the walk: ties go to the
     lexicographically smallest sorted vertex tuple among all closed sets
     within the budget.
     """
     comps, _, pred_comps = _scc(instance.graph)
-    c = len(comps)
-    comp_size = [len(g) for g in comps]
-    comp_profit = [sum(instance.profit[v] for v in g) for g in comps]
+    c, profit = len(comps), instance.profit
     has_succ = set().union(*pred_comps)
     # by smallest member: the sink walk pads in this order
     by_member = sorted(range(c), key=lambda i: comps[i][0])
     sources = [i for i in by_member if not pred_comps[i]]
     sinks = [i for i in by_member if pred_comps[i] and i not in has_succ]
-    layered = len(sources) + len(sinks) == c and all(
-        comp_size[i] == 1 for i in sinks
-    )
-
-    # (bits enumerated, walk); min() keeps the first of equal-cost walks.
-    walks = [(c, _rcp_component_subsets)]
-    if layered:
-        if all(comp_profit[i] == 0 for i in sources):
-            walks.append((len(sinks), _rcp_sink_subsets))
-        walks.append((len(sources), _rcp_source_subsets))
-    bits, walk = min(walks, key=lambda w: w[0])
+    walk, bits = _rcp_component_subsets, len(sources)
+    if len(sources) + len(sinks) < c or any(len(comps[i]) > 1 for i in sinks):
+        bits, sources, sinks = c, range(c), []  # not two-layered: walk them all
+    elif len(sinks) <= len(sources) and not any(profit[v] for i in sources for v in comps[i]):
+        walk, bits = _rcp_sink_subsets, len(sinks)
     if bits > RCP_MAX_MASK_BITS:
         raise SizeGuardError(
             f"graph with {c} strongly connected components is beyond the exact solver"
         )
-    return walk(instance, comps, pred_comps, comp_size, comp_profit, sources, sinks)
+    return walk(instance, comps, pred_comps, sources, sinks)
 
 
 def exact_dksh(instance: DkshInstance) -> tuple[frozenset[int], int]:
@@ -281,8 +277,8 @@ def _subset_table(values, combine=operator.add) -> list:
     """The list whose entry ``[mask]`` combines ``values[i]`` over the set
     bits of ``mask`` (0 for the empty mask), built by doubling."""
     table = [0]
-    for x in values:
-        table += [combine(t, x) for t in table]
+    for x in values:  # a 0 doubles the table as it stands: t + 0 == t | 0 == t
+        table += [combine(t, x) for t in table] if x else table
     return table
 
 
@@ -381,29 +377,57 @@ def _rcp_component_subsets(
     instance: RcpInstance,
     comps: tuple[tuple[int, ...], ...],
     pred_comps: tuple[frozenset[int], ...],
-    comp_size: list[int],
-    comp_profit: list[int],
-    sources: list[int],
-    sinks: list[int],
+    walked: range | list[int],
+    greedy: list[int],
 ) -> tuple[frozenset[int], int]:
-    """Every closed component subset, so the canonical optimum is among them."""
-    c = len(comps)
-    preds_of = _subset_table(map(_mask, pred_comps), operator.or_)
-    size_of = _subset_table(comp_size)
-    profit_of = _subset_table(comp_profit)
+    """Every closed subset of the ``walked`` components, completed with the
+    best of the ``greedy`` singleton sinks that it enables, if any.
+
+    Walking every component with no sinks meets every closed set.  Walking
+    the sources of a two-layered condensation, the best sinks for a source
+    choice are the top-profit enabled ones, equal-profit sinks smallest first;
+    the room left is padded with enabled zero-profit sinks below the set's
+    maximum, smallest first.  That is the smallest sorted tuple among the
+    source choice's optima.
+    """
+    index = {s: i for i, s in enumerate(walked)}
+    needs = {s: _mask(map(index.__getitem__, pred_comps[s])) for s in (*walked, *greedy)}
+    groups = [comps[s] for s in walked]
+    preds_of = _subset_table((needs[s] for s in walked), operator.or_)
+    size_of = _subset_table(map(len, groups))
+    profit_of = _subset_table(sum(map(instance.profit.__getitem__, g)) for g in groups)
+    # (-profit, vertex, enabling mask): by falling profit, then ascending vertex
+    ranked = sorted((-instance.profit[comps[s][0]], comps[s][0], needs[s]) for s in greedy)
+    paying = [t for t in ranked if t[0]]
+    free = [t[1:] for t in ranked if not t[0]]
+    budget = instance.budget
     best_profit = -1
     best_vertices: tuple[int, ...] = ()
-    for mask in range(1 << c):
-        profit = profit_of[mask]
-        if (
-            preds_of[mask] & ~mask
-            or size_of[mask] > instance.budget
-            or profit < best_profit
-        ):
+    for mask in range(1 << len(groups)):
+        size = size_of[mask]
+        if size > budget or preds_of[mask] & ~mask:
             continue
-        vertices = tuple(
-            sorted(v for i in range(c) if mask >> i & 1 for v in comps[i])
-        )
+        profit = profit_of[mask]
+        room = budget - size
+        members: list[int] = []
+        for p, v, need in paying:
+            if room < 1:
+                break
+            if need & ~mask == 0:
+                members.append(v)
+                profit -= p
+                room -= 1
+        if profit < best_profit:
+            continue
+        members += [v for i, g in enumerate(groups) if mask >> i & 1 for v in g]
+        top = max(members, default=-1) if free else -1
+        for v, need in free:
+            if room < 1 or v > top:
+                break
+            if need & ~mask == 0:
+                members.append(v)
+                room -= 1
+        vertices = tuple(sorted(members))
         if profit > best_profit or vertices < best_vertices:
             best_profit, best_vertices = profit, vertices
     return frozenset(best_vertices), best_profit
@@ -413,8 +437,6 @@ def _rcp_sink_subsets(
     instance: RcpInstance,
     comps: tuple[tuple[int, ...], ...],
     pred_comps: tuple[frozenset[int], ...],
-    comp_size: list[int],
-    comp_profit: list[int],
     sources: list[int],
     sinks: list[int],
 ) -> tuple[frozenset[int], int]:
@@ -431,8 +453,8 @@ def _rcp_sink_subsets(
     need_of = _subset_table(
         (_mask(source_index[p] for p in pred_comps[s]) for s in sinks), operator.or_
     )
-    profit_of = _subset_table(comp_profit[s] for s in sinks)
-    source_size = [comp_size[s] for s in sources]
+    profit_of = _subset_table(instance.profit[comps[s][0]] for s in sinks)
+    source_size = [len(comps[s]) for s in sources]
     best_profit = -1
     best_vertices: tuple[int, ...] = ()
     for mask in range(1 << len(sinks)):
@@ -457,69 +479,6 @@ def _rcp_sink_subsets(
                 members.extend(group)
                 room -= len(group)
                 top = max(top, group[-1])
-        vertices = tuple(sorted(members))
-        if profit > best_profit or vertices < best_vertices:
-            best_profit, best_vertices = profit, vertices
-    return frozenset(best_vertices), best_profit
-
-
-def _rcp_source_subsets(
-    instance: RcpInstance,
-    comps: tuple[tuple[int, ...], ...],
-    pred_comps: tuple[frozenset[int], ...],
-    comp_size: list[int],
-    comp_profit: list[int],
-    sources: list[int],
-    sinks: list[int],
-) -> tuple[frozenset[int], int]:
-    """With singleton sinks, the best sinks for a fixed source choice are the
-    top-profit enabled ones, so only source subsets need enumerating.
-
-    Equal-profit sinks are taken smallest first, and the room left is padded
-    with enabled zero-profit sinks below the set's maximum, smallest first:
-    the smallest sorted tuple among that source choice's optima.
-    """
-    source_index = {s: i for i, s in enumerate(sources)}
-    # (profit, enabling source mask, vertex) per sink, sorted so that paying
-    # sinks come by falling profit, then ascending vertex.
-    ranked = sorted(
-        (
-            (comp_profit[s], _mask(source_index[p] for p in pred_comps[s]), comps[s][0])
-            for s in sinks
-        ),
-        key=lambda t: (-t[0], t[2]),
-    )
-    paying = [t for t in ranked if t[0] > 0]
-    free = sorted((v, need) for p, need, v in ranked if p == 0)
-    size_of = _subset_table(comp_size[s] for s in sources)
-    profit_of = _subset_table(comp_profit[s] for s in sources)
-    best_profit = -1
-    best_vertices: tuple[int, ...] = ()
-    for mask in range(1 << len(sources)):
-        if size_of[mask] > instance.budget:
-            continue
-        profit = profit_of[mask]
-        room = instance.budget - size_of[mask]
-        taken: list[int] = []
-        for p, need, v in paying:
-            if room < 1:
-                break
-            if need & ~mask == 0:
-                taken.append(v)
-                profit += p
-                room -= 1
-        if profit < best_profit:
-            continue
-        members = [
-            v for i in range(len(sources)) if mask >> i & 1 for v in comps[sources[i]]
-        ] + taken
-        top = max(members, default=-1)
-        for v, need in free:
-            if room < 1 or v > top:
-                break
-            if need & ~mask == 0:
-                members.append(v)
-                room -= 1
         vertices = tuple(sorted(members))
         if profit > best_profit or vertices < best_vertices:
             best_profit, best_vertices = profit, vertices

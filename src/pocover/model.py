@@ -15,6 +15,8 @@ A ``Digraph`` runs each of its checks as one whole-list pass in C (``map``,
 ``set``, ``min``, ``max``, ``sorted``).  Only when a pass fails does it scan
 item by item, to name the first offender: in input order for an edge that is
 not a pair, in sorted edge order for a self-loop or an endpoint out of range.
+Hyperedge and cluster lists are read the same way, and a row that is not a
+sequence is named too.
 """
 
 from __future__ import annotations
@@ -39,6 +41,23 @@ def _check_ints(values: Iterable, what: str) -> None:
     if other:
         names = ", ".join(sorted(t.__name__ for t in other))
         raise InputError(f"{what}: expected int, got {names}")
+
+
+def _rows(rows: Iterable, what: str, shape: str = "a sequence") -> list[tuple]:
+    """Each row as a tuple, in one pass in C.  Only when that fails is the
+    list scanned, to raise ``InputError`` naming the first row that is not a
+    sequence, or the list itself when it is not one."""
+    try:
+        rows = list(rows)  # read twice when a row is not a sequence
+    except TypeError:
+        raise InputError(f"{what} list {rows!r} is not a sequence") from None
+    try:
+        return list(map(tuple, rows))
+    except TypeError:
+        bad = [row for row in rows if not isinstance(row, Iterable)]
+        if bad:
+            raise InputError(f"{what} {bad[0]!r} is not {shape}") from None
+        raise
 
 
 def _check_range(n: int, vertices: Iterable[int], what: str) -> None:
@@ -146,16 +165,7 @@ class Digraph:
         _check_ints((vertex_count,), "vertex count")
         if vertex_count < 1:
             raise InputError("graph must have at least one vertex")
-        edges = list(edges)  # read twice when an edge is not a sequence
-        try:
-            pairs = list(map(tuple, edges))
-        except TypeError:
-            for e in edges:
-                try:
-                    tuple(e)
-                except TypeError:
-                    raise InputError(f"edge {e!r} is not a pair") from None
-            raise
+        pairs = _rows(edges, "edge", "a pair")
         if set(map(len, pairs)) - {2}:
             e = next(e for e in pairs if len(e) != 2)
             raise InputError(f"edge {list(e)} is not a pair")
@@ -231,7 +241,7 @@ class DkshInstance:
         _check_ints((vertex_count,), "vertex count")
         if vertex_count < 1:
             raise InputError("hypergraph must have at least one vertex")
-        members = [tuple(e) for e in hyperedges]
+        members = _rows(hyperedges, "hyperedge")
         _check_ints(chain.from_iterable(members), "hyperedge members")
         edges = tuple(frozenset(e) for e in members)
         weight = tuple(weight)
@@ -272,7 +282,7 @@ class BpccInstance:
         weight: Sequence[int],
         capacity: int,
     ):
-        members = [tuple(c) for c in clusters]
+        members = _rows(clusters, "cluster")
         _check_ints(chain.from_iterable(members), "cluster members")
         groups = tuple(tuple(sorted(c)) for c in members)
         weight = tuple(weight)

@@ -7,7 +7,7 @@ import pytest
 from pocover import reductions, verify
 from pocover.cli import main
 from pocover.model import InputError
-from pocover.serialize import doc_to_instance, loads_instance
+from pocover.serialize import doc_to_instance, fingerprint, loads_instance
 
 
 def run(capsys, *argv):
@@ -310,6 +310,76 @@ def test_solve_reports_a_guard_as_an_error_entry(tmp_path, capsys):
     assert "limited to 18 items per cluster" in line["error"]
 
 
+def test_solve_prints_the_exact_optimum_of_dksh_and_bpcc_files(tmp_path, capsys):
+    dksh = tmp_path / "h.json"
+    dksh.write_text(json.dumps(DKSH))
+    bpcc = tmp_path / "b.json"
+    bpcc.write_text(json.dumps(BPCC))
+    code, out, err = run(capsys, "solve", str(dksh), str(bpcc))
+    assert code == 0 and err == ""
+    assert list(map(json.loads, out.splitlines())) == [
+        {"file": str(dksh), "fingerprint": "b12dc6e7b273", "solution": [0, 1, 2], "weight": 1},
+        {"file": str(bpcc), "fingerprint": "ee204f69a1b7", "cover": [[0], [2], [1]], "cardinality": 3},
+    ]
+
+
+def test_bounds_reports_an_infeasible_tree_as_an_error_line(tmp_path, capsys):
+    path = _write(tmp_path, _doc("ct", n=2, parent=[None, 0], size=[2, 1], k=2))
+    code, out, err = run(capsys, "bounds", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "error": "root path of vertex 1 weighs 3 > capacity 2",
+        "file": str(path),
+    }
+
+
+def test_reduce_emit_dot_writes_the_target(tmp_path, capsys):
+    path = _write(tmp_path, RCP)
+    dot = tmp_path / "target.dot"
+    code, _, err = run(capsys, "reduce", "--kind", "rcp_to_dksh", str(path), "--emit-dot", str(dot))
+    assert code == 0 and err == ""
+    assert dot.read_text() == (
+        "digraph instance {\n"
+        '  v0 [label="0"];\n  v1 [label="1"];\n  v2 [label="2"];\n'
+        '  e0 [shape=box, label="e0 (w=1)"];\n  v0 -> e0;\n'
+        '  e1 [shape=box, label="e1 (w=0)"];\n  v0 -> e1;\n  v1 -> e1;\n'
+        '  e2 [shape=box, label="e2 (w=2)"];\n  v0 -> e2;\n  v1 -> e2;\n  v2 -> e2;\n'
+        "}\n"
+    )
+
+
+def test_failed_checks_exit_one_with_fail_lines(capsys, monkeypatch):
+    # a cover validator that rejects everything fails verify's cover_valid
+    # and bpcc_to_ct's lift_covers_target
+    monkeypatch.setattr(verify, "validate_cover", lambda instance, cover: "rejected")
+    code, out, err = run(capsys, "verify", "--count", "3", "--seed", "5")
+    assert code == 1
+    assert err == "verify: 3 instances, 3 failures, 0 errors\n"
+    for line in map(json.loads, out.splitlines()):
+        assert line["status"] == "FAIL"
+        assert line["failed"] == ["cover_valid"]
+        assert line["seed"] == 5
+        assert fingerprint(doc_to_instance(line["repro"])) == line["instance"]
+
+    code, out, err = run(capsys, "roundtrip", "--kind", "bpcc_to_ct", "--count", "2")
+    assert code == 1
+    assert err == "roundtrip: 2 instances, 2 failures, 0 errors\n"
+    for line in map(json.loads, out.splitlines()):
+        assert line["status"] == "FAIL"
+        assert line["failed"] == ["lift_covers_target"]
+
+
+def test_verify_with_exact_past_the_oracle_guard_is_an_error_line(tmp_path, capsys):
+    path = _write(tmp_path, _doc("ct", n=19, parent=[None] + [0] * 18, size=[1] * 19, k=4))
+    code, out, err = run(capsys, "verify", "--with-exact", str(path))
+    assert code == 0
+    assert err == "verify: 1 instances, 0 failures, 1 errors\n"
+    line = json.loads(out)
+    assert line["status"] == "error"
+    assert line["error"] == "oracle guard: exact tree covering is limited to 18 vertices"
+    assert line["exact"] is None and "failed" not in line
+
+
 def _doc(kind, **fields):
     return {"format_version": 1, "kind": kind, **fields}
 
@@ -521,7 +591,7 @@ def test_non_integer_or_misshapen_document_exits_two(tmp_path, capsys, doc):
     [
         ([[0, 1], 5], "edge 5 is not a pair"),
         ([None], "edge None is not a pair"),
-        (5, "rcp document has a field of the wrong shape: 'int' object is not iterable"),
+        (5, "edge list 5 is not a sequence"),
     ],
 )
 def test_an_edge_that_is_not_a_sequence_is_named(tmp_path, capsys, edges, message):

@@ -295,23 +295,23 @@ def test_exact_rcp_matches_subset_enumeration(data):
 
 def run_layer_strategy(instance, which):
     """Drive one of the walks directly, whatever ``exact_rcp`` would pick,
-    so each can be compared against the others and the reference."""
+    so each can be compared against the others and the reference:
+    ``components`` walks every component, ``sources`` walks the sources and
+    takes the sinks greedily, and ``sinks`` walks the sinks."""
     from pocover import exact
 
     comps, _, pred = exact._scc(instance.graph)
-    sizes = [len(c) for c in comps]
-    profits = [sum(instance.profit[v] for v in c) for c in comps]
     has_succ = set().union(*pred)
     by_member = sorted(range(len(comps)), key=lambda i: comps[i][0])
     sources = [i for i in by_member if not pred[i]]
     sinks = [i for i in by_member if pred[i] and i not in has_succ]
     assert len(sources) + len(sinks) == len(comps)
-    walk = {
-        "components": exact._rcp_component_subsets,
-        "sinks": exact._rcp_sink_subsets,
-        "sources": exact._rcp_source_subsets,
+    walk, walked, greedy = {
+        "components": (exact._rcp_component_subsets, range(len(comps)), []),
+        "sinks": (exact._rcp_sink_subsets, sources, sinks),
+        "sources": (exact._rcp_component_subsets, sources, sinks),
     }[which]
-    return walk(instance, comps, pred, sizes, profits, sources, sinks)
+    return walk(instance, comps, pred, walked, greedy)
 
 
 def test_layered_solvers_agree_with_component_path():
@@ -482,16 +482,24 @@ def _rcp_digest_corpus():
 
 def test_exact_rcp_digest_on_seeded_corpus(monkeypatch):
     """``exact_rcp`` selections and profits, or the guard's message, hashed
-    over a seeded corpus on which each of the three walks runs hundreds of
-    times.  The digest changes only with a deliberate change of output,
-    which CHANGES.md records together with the new value."""
-    runs = dict.fromkeys(("_rcp_component_subsets", "_rcp_sink_subsets", "_rcp_source_subsets"), 0)
-    for name in runs:
-        def counted(*args, _walk=getattr(exact, name), _name=name):
-            runs[_name] += 1
-            return _walk(*args)
+    over a seeded corpus on which each of the two walks runs hundreds of
+    times, the component walk both over all components and over the sources
+    with the sinks taken greedily.  The digest changes only with a
+    deliberate change of output, which CHANGES.md records together with the
+    new value."""
+    runs = dict.fromkeys(("sinks", "greedy", "components"), 0)
+    sink_walk, component_walk = exact._rcp_sink_subsets, exact._rcp_component_subsets
 
-        monkeypatch.setattr(exact, name, counted)
+    def count_sinks(*args):
+        runs["sinks"] += 1
+        return sink_walk(*args)
+
+    def count_components(*args):
+        runs["greedy" if args[-1] else "components"] += 1
+        return component_walk(*args)
+
+    monkeypatch.setattr(exact, "_rcp_sink_subsets", count_sinks)
+    monkeypatch.setattr(exact, "_rcp_component_subsets", count_components)
     digest = hashlib.sha256()
     guarded = 0
     for label, inst in _rcp_digest_corpus():

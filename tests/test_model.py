@@ -70,8 +70,25 @@ def test_digraph_names_an_edge_that_is_not_a_sequence():
         Digraph(2, [5])
     with pytest.raises(InputError, match=r"^edge None is not a pair$"):
         Digraph(3, [(0, 1), None, 7])
-    with pytest.raises(TypeError):  # the edge list itself is not iterable
+    with pytest.raises(InputError, match=r"^edge list 5 is not a sequence$"):
         Digraph(2, 5)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DkshInstance(2, [5], [1], 1), "hyperedge 5 is not a sequence"),
+        (lambda: DkshInstance(2, [[0, 1], None], [1, 1], 1), "hyperedge None is not a sequence"),
+        (lambda: DkshInstance(2, 5, [1], 1), "hyperedge list 5 is not a sequence"),
+        (lambda: BpccInstance([5], [1], 2), "cluster 5 is not a sequence"),
+        (lambda: BpccInstance([[0], 1], [1, 1], 2), "cluster 1 is not a sequence"),
+        (lambda: BpccInstance(None, [1], 2), "cluster list None is not a sequence"),
+    ],
+)
+def test_rows_that_are_not_sequences_are_named(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("profit", [[0, -1, 2], [-1, 0, 0], [5, 5, -7]])
@@ -240,6 +257,15 @@ def test_validate_configuration(two_leaf_instance):
     tight = CtInstance(two_leaf_instance.tree, 5)
     problem = validate_configuration(tight, {0, 1, 2})
     assert problem is not None and "capacity" in problem
+
+
+@pytest.mark.parametrize("vertex", [-1, 3])
+def test_validate_configuration_names_a_vertex_out_of_range(two_leaf_instance, vertex):
+    assert validate_configuration(two_leaf_instance, []) is None
+    message = rf"^configuration: vertex {vertex} out of range \[0, 3\)$"
+    for members in ([vertex], [0, 1, vertex]):
+        with pytest.raises(InputError, match=message):
+            validate_configuration(two_leaf_instance, members)
 
 
 def test_validate_cover(two_leaf_instance):

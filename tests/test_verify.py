@@ -38,6 +38,16 @@ def test_verify_infeasible_is_error_not_failure():
     assert report.alg_cardinality is None
 
 
+def test_verify_past_the_oracle_guard_is_error_not_failure():
+    star = CtInstance(SizedOutTree([None] + [0] * 18, [1] * 19), 4)
+    report = verify_ct(star, with_exact=True)
+    assert report.error == "oracle guard: exact tree covering is limited to 18 vertices"
+    assert report.exact_cardinality is None and report.exact_reduced_cardinality is None
+    assert report.ratio is None
+    assert report.passed
+    assert report.alg_cardinality is not None
+
+
 def test_verify_without_exact(star4):
     report = verify_ct(star4, with_exact=False)
     assert report.exact_cardinality is None
@@ -89,6 +99,22 @@ def test_roundtrip_pipeline_triangle():
     assert report.passed, report.failed_checks()
 
 
+def test_pipeline_check_catches_a_record_that_splits_a_copy_group(monkeypatch):
+    pipeline = reductions.dks_via_urcp
+
+    def split_copies(graph, k):
+        # m = 1: vertex 0's copies are the target vertices 0 and 1
+        result = pipeline(graph, k)
+        rec = result.records[0]
+        assert rec.m == 1 and {0, 1} <= rec.solution
+        split = replace(rec, solution=rec.solution - {1})
+        return replace(result, records=(split,) + result.records[1:])
+
+    monkeypatch.setattr(reductions, "dks_via_urcp", split_copies)
+    report = roundtrip_dks_pipeline(Digraph(3, [(0, 1), (1, 2), (0, 2)]), 2)
+    assert report.failed_checks() == ["copies_all_or_nothing"]
+
+
 def test_run_roundtrip_dispatch_and_guard():
     h = generate(GenSpec(kind="hypergraph", n=4, k=2, seed=3, shape={"num_edges": 2}))
     reports = run_roundtrip("dksh_to_rcp", [h])
@@ -135,6 +161,8 @@ def _corrupt_anchor(trace, i, **fields):
             ),
         ),
         ("next_fit_even", lambda t: _corrupt_anchor(t, 0, emitted_sets=(0, 1, 2))),
+        # anchor 2 claims anchor 0's sets, which hold none of its vertices
+        ("next_fit_pairs", lambda t: _corrupt_anchor(t, 0, emitted_sets=(2, 3))),
     ],
 )
 def test_structural_checks_catch_a_corrupted_trace(name, corrupt):
