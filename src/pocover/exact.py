@@ -8,19 +8,20 @@ rather than silently degrading.
 The profit-maximization solver works on the strongly-connected-component
 condensation, which ``_scc`` computes once per graph, in topological order,
 for it and the round-trip checks.  It has two exhaustive walks.  The component
-walk enumerates closed subsets of the components (2^c masks for c
-components), or, when the condensation is two-layered (source components
-feeding singleton sinks, the shape of the reduction gadgets in this package),
-only the sources (2^|sources|), each completed with the best sinks it enables.
-The sink walk enumerates sink subsets (2^|sinks|); it runs instead on a
+walk visits each closed subset of the components within the budget once,
+depth first (at most 2^c for c components), or, when the condensation is
+two-layered (source components feeding singleton sinks, the shape of the
+reduction gadgets in this package), only the source subsets (2^|sources|),
+each completed with the best sinks it enables; it holds O(c) memory.  The
+sink walk enumerates sink subsets (2^|sinks|); it runs instead on a
 two-layered condensation whose sources carry no profit and number at least
 as many as the sinks.  So the walk with the fewest masks runs, up to a
 ceiling of 2^20.  The answer does not depend on which one: every walk
 returns the maximum profit and, among the closed sets within the budget that
 reach it, the one with the lexicographically smallest sorted vertex tuple.
-Each walk reads a mask's size, profit and predecessors from tables with one
-entry per mask (``_subset_table``), so the ceiling bounds memory too: a
-2^20-mask walk peaks at about 45-120 MB.
+The sink walk reads a mask's profit and predecessors from tables with one
+entry per mask (``_subset_table``), so at the ceiling it peaks at about
+110 MB.
 
 The tree-covering solver branches only on maximal configurations, and its
 enumeration walks only toward those, cutting each partial set that can no
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from math import comb
 from typing import Optional
 
@@ -173,14 +175,14 @@ def exact_ct(instance: CtInstance) -> Cover:
 def exact_rcp(instance: RcpInstance) -> tuple[frozenset[int], int]:
     """A profit-maximal predecessor-closed set of bounded cardinality.
 
-    Exhaustive over closed sets.  The component walk takes every component
-    subset, or, on a two-layered condensation, every source subset completed
-    with the best sinks it enables; the sink walk takes sink subsets, and
-    runs instead when no source carries profit and there are no more sinks
-    than sources.  ``SizeGuardError`` is raised when the walk needs more than
-    2^20 masks.  The result does not depend on the walk: ties go to the
-    lexicographically smallest sorted vertex tuple among all closed sets
-    within the budget.
+    Exhaustive over closed sets.  The component walk takes every closed
+    component subset within the budget, or, on a two-layered condensation,
+    every source subset completed with the best sinks it enables; the sink
+    walk takes sink subsets, and runs instead when no source carries profit
+    and there are no more sinks than sources.  ``SizeGuardError`` is raised
+    when the walk needs more than 2^20 masks.  The result does not depend on
+    the walk: ties go to the lexicographically smallest sorted vertex tuple
+    among all closed sets within the budget.
     """
     comps, _, pred_comps = _scc(instance.graph)
     c, profit = len(comps), instance.profit
@@ -380,8 +382,16 @@ def _rcp_component_subsets(
     walked: range | list[int],
     greedy: list[int],
 ) -> tuple[frozenset[int], int]:
-    """Every closed subset of the ``walked`` components, completed with the
-    best of the ``greedy`` singleton sinks that it enables, if any.
+    """Every closed subset of the ``walked`` components within the budget,
+    completed with the best of the ``greedy`` singleton sinks that it
+    enables, if any.
+
+    ``walked`` is every component in topological order, or the sources,
+    which have no predecessors.  So a depth-first walk that adds components
+    in that order, each once its predecessors are in, meets every closed set
+    exactly once and holds O(c) state.  A branch stops where it would pass
+    the budget, or where its profit plus that of every later component and
+    every paying sink is below the best found; ties are still visited.
 
     Walking every component with no sinks meets every closed set.  Walking
     the sources of a two-layered condensation, the best sinks for a source
@@ -389,48 +399,86 @@ def _rcp_component_subsets(
     the room left is padded with enabled zero-profit sinks below the set's
     maximum, smallest first.  That is the smallest sorted tuple among the
     source choice's optima.
+
+    A set is compared by one int key, the bits of each component's smallest
+    and largest member and of each sink: the lowest bit where two keys differ
+    is the first vertex in one set but not the other, and the top bit is the
+    set's maximum, which is all that comparing sorted tuples reads.
     """
+    profit, budget = instance.profit, instance.budget
     index = {s: i for i, s in enumerate(walked)}
     needs = {s: _mask(map(index.__getitem__, pred_comps[s])) for s in (*walked, *greedy)}
     groups = [comps[s] for s in walked]
-    preds_of = _subset_table((needs[s] for s in walked), operator.or_)
-    size_of = _subset_table(map(len, groups))
-    profit_of = _subset_table(sum(map(instance.profit.__getitem__, g)) for g in groups)
-    # (-profit, vertex, enabling mask): by falling profit, then ascending vertex
-    ranked = sorted((-instance.profit[comps[s][0]], comps[s][0], needs[s]) for s in greedy)
-    paying = [t for t in ranked if t[0]]
-    free = [t[1:] for t in ranked if not t[0]]
-    budget = instance.budget
-    best_profit = -1
-    best_vertices: tuple[int, ...] = ()
-    for mask in range(1 << len(groups)):
-        size = size_of[mask]
-        if size > budget or preds_of[mask] & ~mask:
-            continue
-        profit = profit_of[mask]
-        room = budget - size
-        members: list[int] = []
-        for p, v, need in paying:
-            if room < 1:
-                break
-            if need & ~mask == 0:
-                members.append(v)
-                profit -= p
+    need = [needs[s] for s in walked]
+    size = list(map(len, groups))
+    gain = [sum(map(profit.__getitem__, g)) for g in groups]
+    ends = [1 << g[0] | 1 << g[-1] for g in groups]
+    # sinks by rank: falling profit, then ascending vertex, so the paying ones
+    # come first; each is enabled by the component that completes its need
+    ranked = sorted((-profit[comps[s][0]], comps[s][0], needs[s]) for s in greedy)
+    sink_profit = [-p for p, _, _ in ranked]
+    sink_bit = [1 << v for _, v, _ in ranked]
+    paying = sum(map(bool, sink_profit))
+    pay_mask = (1 << paying) - 1
+    free_vertices = [v for _, v, _ in ranked[paying:]]
+    reach = sum(sink_profit)
+    # ahead[i]: the most that components i.. and the sinks can still add
+    ahead = [t + reach for t in itertools.accumulate(reversed(gain))][::-1]
+    # opens[i]: (rank bit, need, profit) of the sinks whose need has top bit
+    # i; every sink has a predecessor, so its need is nonzero
+    opens: list[list[tuple[int, int, int]]] = [[] for _ in groups]
+    for rank, (p, _, sink_need) in enumerate(ranked):
+        opens[sink_need.bit_length() - 1].append((1 << rank, sink_need, -p))
+    c = len(groups)
+    best_profit, best_key = -1, 0
+
+    def visit(
+        start: int, mask: int, key: int, used: int, total: int, enabled: int, worth: int
+    ) -> None:
+        # mask, key, used, total: the chosen components' bits, key bits, size
+        # and profit; enabled: the rank bits of the sinks they enable; worth:
+        # total plus every enabled paying sink, a bound on the set's value
+        nonlocal best_profit, best_key
+        if worth >= best_profit:
+            room, value, full = budget - used, total, key
+            rest = enabled & pay_mask
+            while rest and room:  # the lowest ``room`` ranks: the best paying sinks
+                low = rest & -rest
+                rank = low.bit_length() - 1
+                value += sink_profit[rank]
+                full |= sink_bit[rank]
                 room -= 1
-        if profit < best_profit:
-            continue
-        members += [v for i, g in enumerate(groups) if mask >> i & 1 for v in g]
-        top = max(members, default=-1) if free else -1
-        for v, need in free:
-            if room < 1 or v > top:
-                break
-            if need & ~mask == 0:
-                members.append(v)
-                room -= 1
-        vertices = tuple(sorted(members))
-        if profit > best_profit or vertices < best_vertices:
-            best_profit, best_vertices = profit, vertices
-    return frozenset(best_vertices), best_profit
+                rest ^= low
+            if value >= best_profit:
+                if room and enabled > pay_mask:  # zero-profit sinks below the maximum
+                    below = bisect_left(free_vertices, full.bit_length() - 1)
+                    rest = enabled & ((1 << below) - 1) << paying
+                    while rest and room:
+                        low = rest & -rest
+                        full |= sink_bit[low.bit_length() - 1]
+                        room -= 1
+                        rest ^= low
+                low = full ^ best_key
+                low &= -low
+                if value > best_profit or ((best_key > low) if full & low else (full < low)):
+                    best_profit, best_key = value, full
+        for i in range(start, c):
+            if total + ahead[i] < best_profit:
+                return
+            if used + size[i] > budget or need[i] & ~mask:
+                continue
+            grown = mask | 1 << i
+            opened, more = enabled, worth + gain[i]
+            for bit, sink_need, p in opens[i]:
+                if sink_need & ~grown == 0:
+                    opened |= bit
+                    more += p
+            visit(i + 1, grown, key | ends[i], used + size[i], total + gain[i], opened, more)
+
+    visit(0, 0, 0, 0, 0, 0, 0)
+    chosen = [v for g in groups if best_key >> g[0] & 1 for v in g]
+    chosen += [v for _, v, _ in ranked if best_key >> v & 1]
+    return frozenset(chosen), best_profit
 
 
 def _rcp_sink_subsets(

@@ -43,14 +43,20 @@ def _check_ints(values: Iterable, what: str) -> None:
         raise InputError(f"{what}: expected int, got {names}")
 
 
+def _values(values: Iterable, what: str) -> tuple:
+    """The list as a tuple, or ``InputError`` naming it when it is not a
+    sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InputError(f"{what} list {values!r} is not a sequence") from None
+
+
 def _rows(rows: Iterable, what: str, shape: str = "a sequence") -> list[tuple]:
     """Each row as a tuple, in one pass in C.  Only when that fails is the
     list scanned, to raise ``InputError`` naming the first row that is not a
     sequence, or the list itself when it is not one."""
-    try:
-        rows = list(rows)  # read twice when a row is not a sequence
-    except TypeError:
-        raise InputError(f"{what} list {rows!r} is not a sequence") from None
+    rows = _values(rows, what)  # read twice when a row is not a sequence
     try:
         return list(map(tuple, rows))
     except TypeError:
@@ -203,7 +209,7 @@ class RcpInstance:
     budget: int
 
     def __init__(self, graph: Digraph, profit: Sequence[int], budget: int):
-        profit = tuple(profit)
+        profit = _values(profit, "profit")
         if len(profit) != graph.vertex_count:
             raise InputError("profit array length must match vertex count")
         _check_ints(profit, "profits")
@@ -244,7 +250,7 @@ class DkshInstance:
         members = _rows(hyperedges, "hyperedge")
         _check_ints(chain.from_iterable(members), "hyperedge members")
         edges = tuple(frozenset(e) for e in members)
-        weight = tuple(weight)
+        weight = _values(weight, "weight")
         if len(weight) != len(edges):
             raise InputError("weight array length must match hyperedge count")
         for e in edges:
@@ -285,7 +291,7 @@ class BpccInstance:
         members = _rows(clusters, "cluster")
         _check_ints(chain.from_iterable(members), "cluster members")
         groups = tuple(tuple(sorted(c)) for c in members)
-        weight = tuple(weight)
+        weight = _values(weight, "weight")
         n = len(weight)
         _check_ints(weight, "item weights")
         _check_ints((capacity,), "capacity")

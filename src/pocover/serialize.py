@@ -20,6 +20,7 @@ from .model import (
     InputError,
     RcpInstance,
     SizedOutTree,
+    _values,
 )
 
 FORMAT_VERSION = 1
@@ -78,7 +79,7 @@ def doc_to_instance(doc: dict[str, Any]) -> Instance:
                 raise InputError("declared vertex count does not match arrays")
             return CtInstance(tree, doc["k"])
         if kind == "rcp":
-            n, edges, profit = doc["n"], doc["edges"], tuple(doc["profit"])
+            n, edges, profit = doc["n"], doc["edges"], _values(doc["profit"], "profit")
             # before the graph allocates n adjacency lists
             if type(n) is int and n > 0 and len(profit) != n:
                 raise InputError("profit array length must match vertex count")

@@ -602,6 +602,21 @@ def test_an_edge_that_is_not_a_sequence_is_named(tmp_path, capsys, edges, messag
 
 
 @pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**RCP, "profit": 5}, "profit list 5 is not a sequence"),
+        ({**DKSH, "weight": 5}, "weight list 5 is not a sequence"),
+        ({**BPCC, "weight": 5}, "weight list 5 is not a sequence"),
+    ],
+    ids=["rcp", "dksh", "bpcc"],
+)
+def test_a_scalar_profit_or_weight_is_named(tmp_path, capsys, doc, message):
+    code, out, err = run(capsys, "solve", str(_write(tmp_path, doc)))
+    assert code == 2 and out == ""
+    assert err == f"pocover: error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [["solve"], ["bounds"], ["verify"], ["reduce", "--kind", "bpcc_to_ct"]],
 )

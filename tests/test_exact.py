@@ -1,5 +1,7 @@
 import hashlib
 import json
+import operator
+import tracemalloc
 from collections import deque
 from itertools import combinations
 
@@ -11,6 +13,8 @@ from pocover.exact import (
     BPCC_MAX_CLUSTER,
     RCP_MAX_MASK_BITS,
     SizeGuardError,
+    _mask,
+    _subset_table,
     enumerate_configurations,
     exact_bpcc,
     exact_ct,
@@ -305,7 +309,7 @@ def run_layer_strategy(instance, which):
     by_member = sorted(range(len(comps)), key=lambda i: comps[i][0])
     sources = [i for i in by_member if not pred[i]]
     sinks = [i for i in by_member if pred[i] and i not in has_succ]
-    assert len(sources) + len(sinks) == len(comps)
+    assert which == "components" or len(sources) + len(sinks) == len(comps)
     walk, walked, greedy = {
         "components": (exact._rcp_component_subsets, range(len(comps)), []),
         "sinks": (exact._rcp_sink_subsets, sources, sinks),
@@ -390,6 +394,122 @@ def test_layered_walk_matches_subset_enumeration(walk, sizes, profit, data):
     expected_set, expected_profit = reference_rcp(inst)
     for got_set, got_profit in (exact_rcp(inst), run_layer_strategy(inst, walk)):
         assert (tuple(sorted(got_set)), got_profit) == (expected_set, expected_profit)
+
+
+def _table_component_subsets(
+    instance: RcpInstance,
+    comps: tuple[tuple[int, ...], ...],
+    pred_comps: tuple[frozenset[int], ...],
+    walked: range | list[int],
+    greedy: list[int],
+) -> tuple[frozenset[int], int]:
+    """The component walk as it was before it went depth first, kept as the
+    reference: it tests every mask over the ``walked`` components against
+    per-mask tables of predecessors, sizes and profits."""
+    index = {s: i for i, s in enumerate(walked)}
+    needs = {s: _mask(map(index.__getitem__, pred_comps[s])) for s in (*walked, *greedy)}
+    groups = [comps[s] for s in walked]
+    preds_of = _subset_table((needs[s] for s in walked), operator.or_)
+    size_of = _subset_table(map(len, groups))
+    profit_of = _subset_table(sum(map(instance.profit.__getitem__, g)) for g in groups)
+    # (-profit, vertex, enabling mask): by falling profit, then ascending vertex
+    ranked = sorted((-instance.profit[comps[s][0]], comps[s][0], needs[s]) for s in greedy)
+    paying = [t for t in ranked if t[0]]
+    free = [t[1:] for t in ranked if not t[0]]
+    budget = instance.budget
+    best_profit = -1
+    best_vertices: tuple[int, ...] = ()
+    for mask in range(1 << len(groups)):
+        size = size_of[mask]
+        if size > budget or preds_of[mask] & ~mask:
+            continue
+        profit = profit_of[mask]
+        room = budget - size
+        members: list[int] = []
+        for p, v, need in paying:
+            if room < 1:
+                break
+            if need & ~mask == 0:
+                members.append(v)
+                profit -= p
+                room -= 1
+        if profit < best_profit:
+            continue
+        members += [v for i, g in enumerate(groups) if mask >> i & 1 for v in g]
+        top = max(members, default=-1) if free else -1
+        for v, need in free:
+            if room < 1 or v > top:
+                break
+            if need & ~mask == 0:
+                members.append(v)
+                room -= 1
+        vertices = tuple(sorted(members))
+        if profit > best_profit or vertices < best_vertices:
+            best_profit, best_vertices = profit, vertices
+    return frozenset(best_vertices), best_profit
+
+
+def _walk_corpus():
+    """(instance, walks): seeded random digraphs and dags with at most 11
+    vertices, walked over all components, and ``dksh_to_rcp`` and
+    ``dks_to_urcp`` targets, walked over their sources with greedy sinks and,
+    up to 12 components, over all components.  Each graph is taken with
+    zero, uniform, 0..2 and 0..1000 profits and every budget from 1 to n + 1."""
+    from pocover.reductions import dks_to_urcp, dksh_to_rcp
+
+    graphs = []
+    for seed in range(110):
+        spec = GenSpec(("digraph", "dag")[seed % 2], n=1 + seed % 11, k=1, seed=seed,
+                       shape={"edge_density": (0.1, 0.3, 0.6)[seed % 3]})
+        graphs.append((generate(spec).graph, ("components",)))
+    for seed in range(12):
+        spec = GenSpec("hypergraph", n=2 + seed % 2, k=1, seed=seed,
+                       shape={"num_edges": 1 + seed % 3})
+        graphs.append((dksh_to_rcp(generate(spec)).target.graph, ("sources", "components")))
+    for seed in range(8):
+        spec = GenSpec("digraph", n=2 + seed % 3, k=1, seed=seed, shape={"edge_density": 0.5})
+        graphs.append((dks_to_urcp(generate(spec).graph, 2, 1 + seed % 2).target.graph,
+                       ("sources", "components")))
+    rng = SplitMix64(20)
+    for graph, walks in graphs:
+        n = graph.vertex_count
+        if len(exact._scc(graph)[0]) > 12:
+            walks = walks[:1]
+        for profit in ([0] * n, [1] * n, [rng.randrange(3) for _ in range(n)],
+                       [rng.randrange(1001) for _ in range(n)]):
+            for budget in range(1, n + 2):
+                yield RcpInstance(graph, profit, budget), walks
+
+
+def test_component_walk_matches_the_table_walk(monkeypatch):
+    """The depth-first component walk returns the table walk's (selection,
+    profit) wherever it runs, over all components and over the sources with
+    the sinks taken greedily."""
+    counts = dict.fromkeys(("components", "sources"), 0)
+    for inst, walks in _walk_corpus():
+        for which in walks:
+            got = run_layer_strategy(inst, which)
+            with monkeypatch.context() as patch:
+                patch.setattr(exact, "_rcp_component_subsets", _table_component_subsets)
+                assert got == run_layer_strategy(inst, which), (inst, which)
+            counts[which] += 1
+    assert sum(counts.values()) >= 3000 and min(counts.values()) >= 800, counts
+
+
+def test_component_walk_memory_at_the_ceiling():
+    """At the mask ceiling the component walk holds O(c) state: 20-vertex
+    path with rising profits, where the table walk peaked near 120 MB, and
+    the edgeless 20-vertex graph with 184,756 tied optima."""
+    path = RcpInstance(Digraph(20, [(v, v + 1) for v in range(19)]), range(1000, 1020), 20)
+    tracemalloc.start()
+    try:
+        assert exact_rcp(path) == (frozenset(range(20)), sum(range(1000, 1020)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    wide = RcpInstance(Digraph(20, []), [1] * 20, 10)
+    assert exact_rcp(wide) == (frozenset(range(10)), 10)
 
 
 def test_sink_walk_padding_follows_the_growing_maximum():

@@ -83,6 +83,9 @@ def test_digraph_names_an_edge_that_is_not_a_sequence():
         (lambda: BpccInstance([5], [1], 2), "cluster 5 is not a sequence"),
         (lambda: BpccInstance([[0], 1], [1, 1], 2), "cluster 1 is not a sequence"),
         (lambda: BpccInstance(None, [1], 2), "cluster list None is not a sequence"),
+        (lambda: RcpInstance(Digraph(2, []), 5, 1), "profit list 5 is not a sequence"),
+        (lambda: DkshInstance(2, [[0, 1]], 5, 1), "weight list 5 is not a sequence"),
+        (lambda: BpccInstance([[0]], None, 2), "weight list None is not a sequence"),
     ],
 )
 def test_rows_that_are_not_sequences_are_named(build, message):
