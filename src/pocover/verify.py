@@ -4,12 +4,13 @@
 checks every claimed property of the output: cover validity, the even-set and
 consecutive-pair structure of the packing, anchor disjointness and ordering,
 the bound sandwich, and (when the exact oracle is in range) the factor-2
-guarantee against the true optimum.  The ``roundtrip_*`` functions do the
-analogous work for each reduction: solve both sides exactly, compare optima,
-carry the optima across the solution maps, and check the structural claims of
-the construction.  ``ROUNDTRIPS`` maps each reduction kind to its round trip
-and to the draw of the CLI's round-trip corpus; ``run_roundtrip`` dispatches
-through it.
+guarantee against the true optimum.  ``VALUE[kind](instance, solution)`` is
+the value of a feasible rcp, dksh, ct or bpcc solution, else None.  Each row
+of ``TRIPS`` is one reduction's optimum round trip: solve both sides exactly,
+compare the optima, carry each optimum across and ask ``VALUE`` that it keeps
+its value, then check the construction's own claims.  ``ROUNDTRIPS`` maps each
+reduction kind to its check and to the draw of the CLI's round-trip corpus;
+``run_roundtrip`` dispatches through it.
 
 A report with an ``error`` is an instance that could not be processed (e.g.
 infeasible, or beyond an oracle guard); it does not count as a failed check.
@@ -83,15 +84,8 @@ def structural_checks(instance: CtInstance, result_cover, trace: RunTrace) -> li
     k = instance.capacity
     checks: list[tuple[str, bool]] = []
     checks.append(("cover_valid", validate_cover(instance, result_cover) is None))
-    checks.append(
-        (
-            "next_fit_even",
-            all(
-                len(rec.emitted_sets) >= 2 and len(rec.emitted_sets) % 2 == 0
-                for rec in trace.anchors
-            ),
-        )
-    )
+    emitted = [len(rec.emitted_sets) for rec in trace.anchors]
+    checks.append(("next_fit_even", all(c >= 2 and c % 2 == 0 for c in emitted)))
 
     pair_ok = True
     for rec in trace.anchors:
@@ -219,127 +213,130 @@ def verify_ct(instance: CtInstance, with_exact: bool = False) -> VerifyReport:
 # reduction round trips
 
 
+def _rcp_value(rcp: RcpInstance, solution) -> Optional[int]:
+    """The profit of a closed set within the budget."""
+    members = frozenset(solution)
+    if len(members) > rcp.budget or not is_closed(rcp.graph, members):
+        return None
+    return sum(rcp.profit[v] for v in members)
+
+
+def _dksh_value(dksh: DkshInstance, solution) -> Optional[int]:
+    """The contained weight of a set within the budget."""
+    members = frozenset(solution)
+    return None if len(members) > dksh.budget else contained_hyperedges(dksh, members)[1]
+
+
+def _ct_value(ct: CtInstance, cover) -> Optional[int]:
+    """The set count of a cover that ``validate_cover`` accepts."""
+    return None if validate_cover(ct, cover) is not None else len(cover)
+
+
+def _bpcc_value(bpcc: BpccInstance, packing) -> Optional[int]:
+    """The bin count of a packing whose bins each sit in one cluster and fit
+    the capacity, and together hold every item."""
+    cluster_of = {v: i for i, group in enumerate(bpcc.clusters) for v in group}
+    for bin_ in packing:
+        _check_range(bpcc.item_count, bin_, "bin")
+        weight = sum(bpcc.weight[v] for v in bin_)
+        if len({cluster_of[v] for v in bin_}) > 1 or weight > bpcc.capacity:
+            return None
+    return len(packing) if len(set().union(*packing)) == bpcc.item_count else None
+
+
+# problem kind -> value(instance, solution): the value of a feasible solution,
+# else None.  An id out of range raises ``InputError``, as the model's checks do.
+VALUE = {"rcp": _rcp_value, "dksh": _dksh_value, "ct": _ct_value, "bpcc": _bpcc_value}
+
+
+def _optimum(kind: str, instance) -> tuple:
+    """An optimal solution and its value, from the exact oracle of ``kind``."""
+    if kind == "ct":
+        cover = exact.exact_ct(instance)
+        return cover, len(cover)
+    return getattr(exact, f"exact_{kind}")(instance)
+
+
+# reduction kind -> (source kind, target kind, (lift check, project check),
+# lift, project, extra).  ``lift(artifact, solution)`` carries the source
+# optimum across and ``project`` the target optimum back; ``extra(artifact,
+# solution, lifted, target value, projected)`` gives the trip's own checks, and
+# one that repeats a name is ANDed into that check.  Maps, reductions and
+# oracles are looked up when a trip runs, so a patched module binding is seen.
+TRIPS = {
+    "bpcc_to_ct": (
+        "bpcc", "ct", ("lift_covers_target", "project_covers_source"),
+        lambda a, cover: [reductions.bpcc_map(a, c, "lift") for c in cover],
+        lambda a, cover: [reductions.bpcc_map(a, c, "project") for c in cover],
+        lambda a, *_: [("size_formula", a.target.tree.vertex_count
+                        == 1 + len(a.source.clusters) + a.source.item_count)],
+    ),
+    "dksh_to_rcp": (
+        "dksh", "rcp", ("lift_feasible", "project_feasible"),
+        lambda a, s: reductions.dksh_rcp_map(a, s, "lift"),
+        lambda a, s: reductions.dksh_rcp_map(a, s, "project"),
+        lambda a, *_: [("target_dag_bipartite", _dag_and_bipartite(a.target.graph, a.source))],
+    ),
+    "rcp_to_dksh": (
+        "rcp", "dksh", ("closed_set_keeps_weight", "minimal_projects_feasible"),
+        lambda a, s: s,  # a closed set is its own vertex selection
+        lambda a, s: reductions.minimalize(a.target, s),
+        lambda a, s, lifted, weight, minimal: [
+            # minimalize keeps the contained weight, and is idempotent
+            ("minimal_projects_feasible", _dksh_value(a.target, minimal) == weight),
+            ("minimalize_idempotent", reductions.minimalize(a.target, minimal) == minimal),
+        ],
+    ),
+    "degree_augment": (
+        "rcp", "rcp", ("lift_feasible", "project_feasible"),
+        lambda a, s: reductions.augment_map(a, s, "lift"),
+        lambda a, s: reductions.augment_map(a, s, "project"),
+        lambda a, s, lifted, *_: [
+            ("lift_feasible", len(lifted) == a.parameters["t"] * len(s)),  # whole gadgets
+            *_augment_structure_checks(a),
+        ],
+    ),
+}
+
+
+def _round_trip(kind: str, source) -> RoundtripReport:
+    """Reduce, solve both sides exactly and compare the optima, carry each
+    optimum across, and run the checks of ``TRIPS[kind]``."""
+    source_kind, target_kind, (lift_name, project_name), lift, project, extra = TRIPS[kind]
+    artifact = getattr(reductions, kind)(source)
+    solution, value = _optimum(source_kind, source)
+    target_solution, target_value = _optimum(target_kind, artifact.target)
+    lifted = lift(artifact, solution)
+    projected = project(artifact, target_solution)
+    checks = {
+        "opt_equal": value == target_value,
+        lift_name: VALUE[target_kind](artifact.target, lifted) == value,
+        project_name: VALUE[source_kind](source, projected) == target_value,
+    }
+    for name, ok in extra(artifact, solution, lifted, target_value, projected):
+        checks[name] = checks.get(name, True) and ok
+    return RoundtripReport(kind, fingerprint(source), tuple(checks.items()), None)
+
+
 def roundtrip_bpcc_to_ct(bpcc: BpccInstance) -> RoundtripReport:
-    checks: list[tuple[str, bool]] = []
-    artifact = reductions.bpcc_to_ct(bpcc)
-    ct: CtInstance = artifact.target
-    bpcc_cover, bpcc_opt = exact.exact_bpcc(bpcc)
-    ct_cover = exact.exact_ct(ct)
-    checks.append(("opt_equal", bpcc_opt == len(ct_cover)))
-
-    lifted = [reductions.bpcc_map(artifact, c, "lift") for c in bpcc_cover]
-    checks.append(("lift_covers_target", validate_cover(ct, lifted) is None))
-
-    projected = [reductions.bpcc_map(artifact, c, "project") for c in ct_cover]
-    proj_ok = all(_bpcc_config_ok(bpcc, c) for c in projected)
-    covered = set().union(*projected) if projected else set()
-    checks.append(
-        ("project_covers_source", proj_ok and covered == set(range(bpcc.item_count)))
-    )
-    checks.append(
-        ("size_formula", ct.tree.vertex_count == 1 + len(bpcc.clusters) + bpcc.item_count)
-    )
-    return RoundtripReport("bpcc_to_ct", fingerprint(bpcc), tuple(checks), None)
-
-
-def _bpcc_config_ok(bpcc: BpccInstance, config: frozenset[int]) -> bool:
-    touched = [i for i, g in enumerate(bpcc.clusters) if config & set(g)]
-    weight = sum(bpcc.weight[v] for v in config)
-    return len(touched) <= 1 and weight <= bpcc.capacity
+    return _round_trip("bpcc_to_ct", bpcc)
 
 
 def roundtrip_dksh_to_rcp(dksh: DkshInstance) -> RoundtripReport:
-    checks: list[tuple[str, bool]] = []
-    artifact = reductions.dksh_to_rcp(dksh)
-    rcp: RcpInstance = artifact.target
-    best_set, best_weight = exact.exact_dksh(dksh)
-    rcp_set, rcp_profit = exact.exact_rcp(rcp)
-    checks.append(("opt_equal", best_weight == rcp_profit))
+    return _round_trip("dksh_to_rcp", dksh)
 
-    lifted = reductions.dksh_rcp_map(artifact, best_set, "lift")
-    lift_profit = sum(rcp.profit[v] for v in lifted)
-    checks.append(
-        (
-            "lift_feasible",
-            is_closed(rcp.graph, lifted)
-            and len(lifted) <= rcp.budget
-            and lift_profit == best_weight,
-        )
-    )
 
-    projected = reductions.dksh_rcp_map(artifact, rcp_set, "project")
-    _, proj_weight = contained_hyperedges(dksh, projected)
-    checks.append(
-        ("project_feasible", len(projected) <= dksh.budget and proj_weight >= rcp_profit)
-    )
+def roundtrip_rcp_to_dksh(rcp: RcpInstance) -> RoundtripReport:
+    return _round_trip("rcp_to_dksh", rcp)
 
-    checks.append(("target_dag_bipartite", _dag_and_bipartite(rcp.graph, dksh)))
-    return RoundtripReport("dksh_to_rcp", fingerprint(dksh), tuple(checks), None)
+
+def roundtrip_degree_augment(rcp: RcpInstance) -> RoundtripReport:
+    return _round_trip("degree_augment", rcp)
 
 
 def _dag_and_bipartite(graph: Digraph, dksh: DkshInstance) -> bool:
     boundary = dksh.vertex_count * (len(dksh.hyperedges) + 1)
     return all(u < boundary <= v for u, v in graph.edges)
-
-
-def roundtrip_rcp_to_dksh(rcp: RcpInstance) -> RoundtripReport:
-    checks: list[tuple[str, bool]] = []
-    artifact = reductions.rcp_to_dksh(rcp)
-    dksh: DkshInstance = artifact.target
-    rcp_set, rcp_profit = exact.exact_rcp(rcp)
-    dksh_set, dksh_weight = exact.exact_dksh(dksh)
-    checks.append(("opt_equal", rcp_profit == dksh_weight))
-
-    _, lifted_weight = contained_hyperedges(dksh, rcp_set)
-    checks.append(("closed_set_keeps_weight", lifted_weight == rcp_profit))
-
-    minimal = reductions.minimalize(dksh, dksh_set)
-    _, minimal_weight = contained_hyperedges(dksh, minimal)
-    checks.append(
-        (
-            "minimal_projects_feasible",
-            is_closed(rcp.graph, minimal)
-            and len(minimal) <= rcp.budget
-            and minimal_weight == dksh_weight,
-        )
-    )
-    checks.append(("minimalize_idempotent", reductions.minimalize(dksh, minimal) == minimal))
-    return RoundtripReport("rcp_to_dksh", fingerprint(rcp), tuple(checks), None)
-
-
-def roundtrip_degree_augment(rcp: RcpInstance) -> RoundtripReport:
-    checks: list[tuple[str, bool]] = []
-    artifact = reductions.degree_augment(rcp)
-    big: RcpInstance = artifact.target
-    t = artifact.parameters["t"]
-
-    src_set, src_profit = exact.exact_rcp(rcp)
-    big_set, big_profit = exact.exact_rcp(big)
-    checks.append(("opt_equal", src_profit == big_profit))
-
-    lifted = reductions.augment_map(artifact, src_set, "lift")
-    checks.append(
-        (
-            "lift_feasible",
-            is_closed(big.graph, lifted)
-            and len(lifted) == t * len(src_set)
-            and len(lifted) <= big.budget
-            and sum(big.profit[v] for v in lifted) == src_profit,
-        )
-    )
-
-    projected = reductions.augment_map(artifact, big_set, "project")
-    checks.append(
-        (
-            "project_feasible",
-            is_closed(rcp.graph, projected)
-            and len(projected) <= rcp.budget
-            and sum(rcp.profit[v] for v in projected) == big_profit,
-        )
-    )
-
-    checks += _augment_structure_checks(artifact)
-    return RoundtripReport("degree_augment", fingerprint(rcp), tuple(checks), None)
 
 
 def _augment_structure_checks(artifact) -> list[tuple[str, bool]]:
@@ -415,7 +412,7 @@ def roundtrip_dks_pipeline(graph: Digraph, k: int) -> RoundtripReport:
     optimum."""
     checks: list[tuple[str, bool]] = []
     und = reductions.undirected_edges(graph)
-    fp = reductions.fingerprint_graph(graph) + f"/k{k}"
+    fp = _pipeline_fingerprint(graph, k)
 
     # dks_via_urcp's guard implies exact_dksh's, so a graph it refuses is never
     # enumerated
@@ -431,22 +428,20 @@ def roundtrip_dks_pipeline(graph: Digraph, k: int) -> RoundtripReport:
     checks.append(("solution_within_budget", len(result.solution) <= k))
 
     if k >= 2 and optimum >= 1:
-        hits_at_opt = next(
-            rec.edge_vertex_hits for rec in result.records if rec.m == optimum
-        )
+        hits_at_opt = next(rec.edge_vertex_hits for rec in result.records if rec.m == optimum)
         checks.append(("edge_hits_floor", hits_at_opt >= optimum))
 
-    group_ok = True
-    for rec in result.records:
-        width = 2 * rec.m
-        for v in range(graph.vertex_count):
-            inside = sum(
-                1 for i in range(width) if v * width + i in rec.solution
-            )
-            if inside not in (0, width):
-                group_ok = False
+    group_ok = all(
+        len(rec.solution.intersection(range(v * 2 * rec.m, (v + 1) * 2 * rec.m))) in (0, 2 * rec.m)
+        for rec in result.records
+        for v in range(graph.vertex_count)
+    )
     checks.append(("copies_all_or_nothing", group_ok))
     return RoundtripReport("dks_to_urcp", fp, tuple(checks), None)
+
+
+def _pipeline_fingerprint(graph: Digraph, k: int) -> str:
+    return reductions.fingerprint_graph(graph) + f"/k{k}"
 
 
 def _draw_bpcc(rng: SplitMix64, seed: int) -> BpccInstance:
@@ -505,7 +500,6 @@ def run_roundtrip(kind: str, instances: Iterable) -> list[RoundtripReport]:
         try:
             reports.append(check(item))
         except exact.SizeGuardError as exc:
-            reports.append(
-                RoundtripReport(kind, "?", (), f"oracle guard: {exc}")
-            )
+            fp = _pipeline_fingerprint(*item) if kind == "dks_to_urcp" else fingerprint(item)
+            reports.append(RoundtripReport(kind, fp, (), f"oracle guard: {exc}"))
     return reports

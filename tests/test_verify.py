@@ -4,7 +4,15 @@ import pytest
 
 from pocover import reductions, verify
 from pocover.generate import GenSpec, SplitMix64, generate
-from pocover.model import CtInstance, Digraph, InputError, RcpInstance, SizedOutTree
+from pocover.model import (
+    BpccInstance,
+    CtInstance,
+    Digraph,
+    DkshInstance,
+    InputError,
+    RcpInstance,
+    SizedOutTree,
+)
 from pocover.treecover import AnchorRecord, InfeasibleInstance, cover
 from pocover.verify import (
     roundtrip_bpcc_to_ct,
@@ -480,3 +488,219 @@ def test_degree_checks_at_scale():
         "gadgets_strongly_connected",
     ]
     assert all(ok for _, ok in checks)
+
+
+# kind -> the names of its round trip's checks, in order, on the first
+# instance of the CLI's corpus at seed 0.  They go into perfbench's output
+# digest, so a dropped, renamed or reordered check shows here first.
+CHECK_NAMES = {
+    "bpcc_to_ct": ["opt_equal", "lift_covers_target", "project_covers_source", "size_formula"],
+    "dksh_to_rcp": ["opt_equal", "lift_feasible", "project_feasible", "target_dag_bipartite"],
+    "rcp_to_dksh": [
+        "opt_equal",
+        "closed_set_keeps_weight",
+        "minimal_projects_feasible",
+        "minimalize_idempotent",
+    ],
+    "dks_to_urcp": [
+        "pipeline_matches_exact",
+        "solution_within_budget",
+        "edge_hits_floor",
+        "copies_all_or_nothing",
+    ],
+    "degree_augment": [
+        "opt_equal",
+        "lift_feasible",
+        "project_feasible",
+        "degree_at_most_2",
+        "size_formula",
+        "reachability_preserved",
+        "gadgets_strongly_connected",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", list(CHECK_NAMES))
+def test_round_trip_check_names_in_order(kind):
+    draw, _ = verify.ROUNDTRIPS[kind]
+    [report] = run_roundtrip(kind, [draw(SplitMix64(0), 0)])
+    assert report.error is None and report.passed
+    assert [name for name, _ in report.checks] == CHECK_NAMES[kind]
+
+
+def _patch_map(monkeypatch, name, direction, broken):
+    """Send ``reductions.<name>``'s answers in ``direction`` through
+    ``broken(artifact, solution, answer)``."""
+    inner = getattr(reductions, name)
+
+    def patched(artifact, solution, d):
+        answer = inner(artifact, solution, d)
+        return broken(artifact, solution, answer) if d == direction else answer
+
+    monkeypatch.setattr(reductions, name, patched)
+
+
+def _bpcc_leaves_dropped(monkeypatch):
+    # keeps the root and the cluster vertex: the items' leaves go uncovered
+    _patch_map(monkeypatch, "bpcc_map", "lift", lambda a, c, out: frozenset(
+        v for v in out if v <= a.parameters["m"]
+    ))
+
+
+def _bpcc_every_item(monkeypatch):
+    # every item in every bin: the bins span both clusters
+    _patch_map(monkeypatch, "bpcc_map", "project", lambda a, c, out: frozenset(
+        range(a.source.item_count)
+    ))
+
+
+def _dksh_edge_vertices_only(monkeypatch):
+    # the edge-vertices without the copies that feed them: not closed
+    _patch_map(monkeypatch, "dksh_rcp_map", "lift", lambda a, s, out: frozenset(
+        v for v in out if v >= a.source.vertex_count * (a.parameters["m"] + 1)
+    ))
+
+
+def _dksh_nothing_projected(monkeypatch):
+    _patch_map(monkeypatch, "dksh_rcp_map", "project", lambda a, s, out: frozenset())
+
+
+def _rcp_optimum_emptied(monkeypatch):
+    # the lift of rcp_to_dksh is the identity, so its input is broken instead:
+    # the empty set, reported with the optimum's profit
+    from pocover import exact
+
+    inner = exact.exact_rcp
+    monkeypatch.setattr(exact, "exact_rcp", lambda rcp: (frozenset(), inner(rcp)[1]))
+
+
+def _minimalize_to_nothing(monkeypatch):
+    # idempotent, but it loses the contained weight
+    monkeypatch.setattr(reductions, "minimalize", lambda dksh, solution: frozenset())
+
+
+def _augment_spare_gadget(monkeypatch):
+    # closed, within the budget and of the same profit, but one gadget too
+    # many: only the t*|S| size test catches it
+    inner = reductions.augment_map
+
+    def spare(a, s, out):
+        assert 2 not in s and a.source.profit[2] == 0
+        return inner(a, s | {2}, "lift")
+
+    _patch_map(monkeypatch, "augment_map", "lift", spare)
+
+
+def _augment_nothing_projected(monkeypatch):
+    _patch_map(monkeypatch, "augment_map", "project", lambda a, s, out: frozenset())
+
+
+_BPCC = GenSpec(kind="bpcc", n=6, k=4, seed=77, shape={"cluster_count": 2})
+_DKSH = GenSpec(kind="hypergraph", n=5, k=3, seed=41, shape={"num_edges": 3})
+_RCP = GenSpec(kind="digraph", n=6, k=3, seed=13)
+_SPARE = RcpInstance(Digraph(3, [(0, 1)]), [1, 4, 0], 3)  # optimum {0, 1}; 2 is spare
+
+# (round trip, source, how its lift or project map breaks, the check that fails)
+BROKEN_MAPS = [
+    ("bpcc_to_ct", _BPCC, _bpcc_leaves_dropped, "lift_covers_target"),
+    ("bpcc_to_ct", _BPCC, _bpcc_every_item, "project_covers_source"),
+    ("dksh_to_rcp", _DKSH, _dksh_edge_vertices_only, "lift_feasible"),
+    ("dksh_to_rcp", _DKSH, _dksh_nothing_projected, "project_feasible"),
+    ("rcp_to_dksh", _RCP, _rcp_optimum_emptied, "closed_set_keeps_weight"),
+    ("rcp_to_dksh", _RCP, _minimalize_to_nothing, "minimal_projects_feasible"),
+    ("degree_augment", _SPARE, _augment_spare_gadget, "lift_feasible"),
+    ("degree_augment", _SPARE, _augment_nothing_projected, "project_feasible"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, source, breaks, failed",
+    BROKEN_MAPS,
+    ids=[breaks.__name__.lstrip("_") for _, _, breaks, _ in BROKEN_MAPS],
+)
+def test_a_broken_map_fails_exactly_its_check(monkeypatch, kind, source, breaks, failed):
+    check = getattr(verify, f"roundtrip_{kind}")
+    instance = generate(source) if isinstance(source, GenSpec) else source
+    assert check(instance).passed
+    breaks(monkeypatch)
+    assert check(instance).failed_checks() == [failed]
+
+
+def test_a_guard_error_names_its_instance():
+    from pocover.serialize import fingerprint
+
+    # one cluster past exact_bpcc's guard
+    bpcc = BpccInstance([list(range(19))], [1] * 19, 5)
+    [report] = run_roundtrip("bpcc_to_ct", [bpcc])
+    assert report.error is not None and report.checks == ()
+    assert report.fingerprint == fingerprint(bpcc)
+
+    big = Digraph(30, [(i, i + 1) for i in range(29)])
+    [report] = run_roundtrip("dks_to_urcp", [(big, 6)])
+    assert report.error is not None and report.checks == ()
+    assert report.fingerprint == reductions.fingerprint_graph(big) + "/k6"
+
+
+_PATH = RcpInstance(Digraph(3, [(0, 1), (1, 2)]), [1, 2, 4], 2)
+_HYPER = DkshInstance(4, [[0, 1], [1, 2], [3]], [5, 7, 1], 2)
+# root 0 with children 1 and 2, and 3 below 1
+_TREE = CtInstance(SizedOutTree([None, 0, 0, 1], [1, 1, 2, 2]), 4)
+_BINS = BpccInstance([[0, 1], [2, 3, 4]], [2, 2, 1, 3, 2], 4)
+
+
+@pytest.mark.parametrize(
+    "kind, instance, solution, value",
+    [
+        ("rcp", _PATH, set(), 0),
+        ("rcp", _PATH, {0}, 1),
+        ("rcp", _PATH, {0, 1}, 3),
+        ("rcp", _PATH, {0, 1, 2}, None),  # over the budget
+        ("rcp", _PATH, {1}, None),  # not closed
+        ("rcp", _PATH, {0, 2}, None),  # not closed
+        ("dksh", _HYPER, {0, 1}, 5),
+        ("dksh", _HYPER, {1, 2}, 7),
+        ("dksh", _HYPER, {0, 3}, 1),
+        ("dksh", _HYPER, {0, 2}, 0),
+        ("dksh", _HYPER, {0, 1, 2}, None),  # over the budget
+        ("ct", _TREE, [{0, 2}, {0, 1, 3}], 2),
+        ("ct", _TREE, [{0, 2}, {0, 1}, {0, 1, 3}], 3),
+        ("ct", _TREE, [{0, 1, 2, 3}], None),  # over the capacity
+        ("ct", _TREE, [{0, 2}, {1, 3}], None),  # 1 without its parent
+        ("ct", _TREE, [{0, 2}, {0, 1}], None),  # 3 uncovered
+        ("bpcc", _BINS, [{0, 1}, {2, 3}, {4}], 3),
+        ("bpcc", _BINS, [{0}, {1}, {2, 4}, {3}], 4),
+        ("bpcc", _BINS, [{0, 2}, {1}, {3}, {4}], None),  # spans two clusters
+        ("bpcc", _BINS, [{0, 1}, {2, 3, 4}], None),  # over the capacity
+        ("bpcc", _BINS, [{0, 1}, {2, 3}], None),  # 4 uncovered
+    ],
+)
+def test_value_of_each_kind(kind, instance, solution, value):
+    assert verify.VALUE[kind](instance, solution) == value
+
+
+@pytest.mark.parametrize(
+    "kind, instance, solution",
+    [
+        ("rcp", _PATH, {0, 3}),
+        ("dksh", _HYPER, {4}),
+        ("ct", _TREE, [{0, 2}, {0, 1, 3}, {4}]),
+        ("bpcc", _BINS, [{0, 1}, {2, 3}, {4}, {-1}]),
+    ],
+)
+def test_value_of_an_id_out_of_range_is_an_input_error(kind, instance, solution):
+    with pytest.raises(InputError, match="out of range"):
+        verify.VALUE[kind](instance, solution)
+
+
+def test_projected_cover_packs_at_scale():
+    """``bpcc_map`` projects the factor-2 cover of a 2*10^4-item star to a
+    packing that ``VALUE`` accepts, with no more bins than the cover has sets."""
+    bpcc = generate(
+        GenSpec(kind="bpcc", n=20000, k=1000, seed=1, shape={"cluster_count": 50})
+    )
+    artifact = reductions.bpcc_to_ct(bpcc)
+    sets = cover(artifact.target).cover
+    projected = (reductions.bpcc_map(artifact, c, "project") for c in sets)
+    packing = [bin_ for bin_ in projected if bin_]
+    bins = verify.VALUE["bpcc"](bpcc, packing)
+    assert bins is not None and bins == len(packing) <= len(sets)
