@@ -8,20 +8,18 @@ rather than silently degrading.
 The profit-maximization solver works on the strongly-connected-component
 condensation, which ``_scc`` computes once per graph, in topological order,
 for it and the round-trip checks.  It has two exhaustive walks.  The component
-walk visits each closed subset of the components within the budget once,
-depth first (at most 2^c for c components), or, when the condensation is
-two-layered (source components feeding singleton sinks, the shape of the
-reduction gadgets in this package), only the source subsets (2^|sources|),
-each completed with the best sinks it enables; it holds O(c) memory.  The
-sink walk enumerates sink subsets (2^|sinks|); it runs instead on a
-two-layered condensation whose sources carry no profit and number at least
-as many as the sinks.  So the walk with the fewest masks runs, up to a
-ceiling of 2^20.  The answer does not depend on which one: every walk
-returns the maximum profit and, among the closed sets within the budget that
-reach it, the one with the lexicographically smallest sorted vertex tuple.
-The sink walk reads a mask's profit and predecessors from tables with one
-entry per mask (``_subset_table``), so at the ceiling it peaks at about
-110 MB.
+walk visits each closed subset of the components within the budget once
+(at most 2^c for c components), or, when the condensation is two-layered
+(source components feeding singleton sinks, the shape of the reduction
+gadgets in this package), only the source subsets (2^|sources|), each
+completed with the best sinks it enables.  The sink walk visits the closure
+of each sink subset within the budget once (at most 2^|sinks|); it runs
+instead on a two-layered condensation whose sources carry no profit and
+number at least as many as the sinks.  So the walk with the fewest masks
+runs, up to a ceiling of 2^20.  Both walks go depth first and keep no
+per-mask table.  The answer does not depend on which one: every walk returns
+the maximum profit and, among the closed sets within the budget that reach
+it, the one with the lexicographically smallest sorted vertex tuple.
 
 The tree-covering solver branches only on maximal configurations, and its
 enumeration walks only toward those, cutting each partial set that can no
@@ -31,10 +29,8 @@ longer end maximal.
 from __future__ import annotations
 
 import itertools
-import operator
 from bisect import bisect_left
 from math import comb
-from typing import Optional
 
 from .model import (
     BpccInstance,
@@ -179,10 +175,11 @@ def exact_rcp(instance: RcpInstance) -> tuple[frozenset[int], int]:
     component subset within the budget, or, on a two-layered condensation,
     every source subset completed with the best sinks it enables; the sink
     walk takes sink subsets, and runs instead when no source carries profit
-    and there are no more sinks than sources.  ``SizeGuardError`` is raised
-    when the walk needs more than 2^20 masks.  The result does not depend on
-    the walk: ties go to the lexicographically smallest sorted vertex tuple
-    among all closed sets within the budget.
+    and there are no more sinks than sources.  Both walks go depth first and
+    keep no per-mask table.  ``SizeGuardError`` is raised when the walk
+    needs more than 2^20 masks.  The result does not depend on the walk:
+    ties go to the lexicographically smallest sorted vertex tuple among all
+    closed sets within the budget.
     """
     comps, _, pred_comps = _scc(instance.graph)
     c, profit = len(comps), instance.profit
@@ -244,8 +241,10 @@ def _pack_cluster(
     items = list(group)
     n = len(items)
     full = (1 << n) - 1
-    load = _subset_table([weight[v] for v in items])
-    best: dict[int, tuple[int, Optional[tuple[int, int]]]] = {0: (0, None)}
+    load = [0]  # load[mask]: the weight of the items in mask
+    for v in items:
+        load += [t + weight[v] for t in load]
+    best = {0: (0, 0)}  # mask -> (previous mask, last bin)
     frontier = [0]
     while full not in best:
         nxt = []
@@ -257,31 +256,17 @@ def _pack_cluster(
                 if sub >> v & 1 and load[sub] <= k:
                     new = mask | sub
                     if new not in best:
-                        best[new] = (best[mask][0] + 1, (mask, sub))
+                        best[new] = (mask, sub)
                         nxt.append(new)
                 sub = (sub - 1) & rest
         frontier = nxt
     bins: list[frozenset[int]] = []
     state = full
     while state:
-        _, step = best[state]
-        assert step is not None
-        prev, sub = step
-        bins.append(
-            frozenset(items[i] for i in range(n) if sub >> i & 1)
-        )
-        state = prev
+        state, sub = best[state]
+        bins.append(frozenset(items[i] for i in range(n) if sub >> i & 1))
     bins.reverse()
     return bins
-
-
-def _subset_table(values, combine=operator.add) -> list:
-    """The list whose entry ``[mask]`` combines ``values[i]`` over the set
-    bits of ``mask`` (0 for the empty mask), built by doubling."""
-    table = [0]
-    for x in values:  # a 0 doubles the table as it stands: t + 0 == t | 0 == t
-        table += [combine(t, x) for t in table] if x else table
-    return table
 
 
 def _mask_weight(mask: int, w: list[int]) -> int:
@@ -490,44 +475,50 @@ def _rcp_sink_subsets(
 ) -> tuple[frozenset[int], int]:
     """Sources carry no profit, so an optimum is the closure of its sinks.
 
-    Every closed set is the closure of its sinks plus some unused sources.
+    Every closed set is the closure of its sinks plus some unused sources.  A
+    depth-first walk adds sinks in order, each with the sources it newly
+    needs, so it meets the closure of every sink subset within the budget
+    once, keeping one frame per sink taken.  A branch skips a sink whose
+    closure would pass the budget, and stops where its profit plus that of
+    every later sink is below the best found; ties are still visited.
+
     Adding a component whose smallest member is below the set's maximum makes
     the sorted tuple smaller, and adding one above it makes it larger, so the
     smallest padding of a closure takes unused sources in ascending order of
     smallest member, skipping those that do not fit, until one starts above
     the maximum.
     """
-    source_index = {s: i for i, s in enumerate(sources)}
-    need_of = _subset_table(
-        (_mask(source_index[p] for p in pred_comps[s]) for s in sinks), operator.or_
-    )
-    profit_of = _subset_table(instance.profit[comps[s][0]] for s in sinks)
-    source_size = [len(comps[s]) for s in sources]
-    best_profit = -1
-    best_vertices: tuple[int, ...] = ()
-    for mask in range(1 << len(sinks)):
-        profit = profit_of[mask]
-        if profit < best_profit:
-            continue
-        need = need_of[mask]
-        card = mask.bit_count() + _mask_weight(need, source_size)
-        if card > instance.budget:
-            continue
-        members = [comps[sinks[j]][0] for j in range(len(sinks)) if mask >> j & 1]
-        for i in range(len(sources)):
-            if need >> i & 1:
-                members.extend(comps[sources[i]])
-        top = max(members, default=-1)
-        room = instance.budget - card
-        for i in range(len(sources)):
-            group = comps[sources[i]]
-            if room < 1 or group[0] > top:
-                break
-            if not need >> i & 1 and len(group) <= room:
-                members.extend(group)
-                room -= len(group)
-                top = max(top, group[-1])
-        vertices = tuple(sorted(members))
-        if profit > best_profit or vertices < best_vertices:
-            best_profit, best_vertices = profit, vertices
+    budget = instance.budget
+    index = {s: i for i, s in enumerate(sources)}
+    groups = [comps[s] for s in sources]
+    feeders = [[index[p] for p in pred_comps[s]] for s in sinks]
+    vertex = [comps[s][0] for s in sinks]
+    gain = [instance.profit[v] for v in vertex]
+    # ahead[j]: the profit of sinks j..
+    ahead = list(itertools.accumulate(reversed(gain)))[::-1]
+    best_profit, best_vertices = -1, ()
+
+    def visit(start: int, profit: int, needed: int, members: list[int]) -> None:
+        # needed: the bits of the sources in the closure; members: its vertices
+        nonlocal best_profit, best_vertices
+        if profit >= best_profit:
+            padded, top = list(members), max(members, default=-1)
+            for i, group in enumerate(groups):
+                if len(padded) == budget or group[0] > top:
+                    break
+                if not needed >> i & 1 and len(padded) + len(group) <= budget:
+                    padded += group
+                    top = max(top, group[-1])
+            vertices = tuple(sorted(padded))
+            if profit > best_profit or vertices < best_vertices:
+                best_profit, best_vertices = profit, vertices
+        for j in range(start, len(sinks)):
+            if profit + ahead[j] < best_profit:
+                return
+            new = [i for i in feeders[j] if not needed >> i & 1]
+            grown = members + [vertex[j], *(v for i in new for v in groups[i])]
+            if len(grown) <= budget:
+                visit(j + 1, profit + gain[j], needed | _mask(new), grown)
+
+    visit(0, 0, 0, [])
     return frozenset(best_vertices), best_profit

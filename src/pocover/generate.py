@@ -79,7 +79,8 @@ def _ints(*values) -> bool:
 _SHAPE_FIELDS = {
     **dict.fromkeys(
         ("size_range", "profit_range", "arity_range", "weight_range"),
-        ("a pair of ints", lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and _ints(*v)),
+        ("a pair of ints, the first at most the second",
+         lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and _ints(*v) and v[0] <= v[1]),
     ),
     "max_children": ("an int or null", lambda v: v is None or _ints(v)),
     "num_edges": ("an int", _ints),
@@ -201,7 +202,7 @@ def _gen_hypergraph(spec: GenSpec, rng: SplitMix64) -> DkshInstance:
         raise GenerationError(f"shape field 'num_edges' must be at least 0, not {num_edges}")
     alo, ahi = spec.shape.get("arity_range", (1, min(3, spec.n)))
     wlo, whi = spec.shape.get("weight_range", (0, 5))
-    if alo < 1 or ahi > spec.n or alo > ahi:
+    if alo < 1 or ahi > spec.n:
         raise GenerationError(f"arity_range ({alo}, {ahi}) is unsatisfiable")
     hyperedges = []
     weight = []

@@ -661,6 +661,24 @@ def test_malformed_shape_exits_two(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("pocover: error: shape ")
 
 
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("digraph", "profit_range"),
+        ("hypergraph", "weight_range"),
+        ("hypergraph", "arity_range"),
+        ("bp_star", "size_range"),
+        ("bpcc", "weight_range"),
+    ],
+)
+def test_inverted_range_names_its_field(capsys, kind, field):
+    code, out, err = run(capsys, "gen", "--kind", kind, "--shape", f'{{"{field}": [5, 3]}}')
+    assert (code, out) == (2, "")
+    assert err == (
+        f"pocover: error: shape field '{field}' must be a pair of ints, the first at most the second\n"
+    )
+
+
 def test_impossible_size_range_exits_two_before_drawing(capsys):
     """No root size can be drawn, so the generator gives up at once rather
     than after its retries over 10^5-vertex trees."""

@@ -14,7 +14,6 @@ from pocover.exact import (
     RCP_MAX_MASK_BITS,
     SizeGuardError,
     _mask,
-    _subset_table,
     enumerate_configurations,
     exact_bpcc,
     exact_ct,
@@ -396,6 +395,15 @@ def test_layered_walk_matches_subset_enumeration(walk, sizes, profit, data):
         assert (tuple(sorted(got_set)), got_profit) == (expected_set, expected_profit)
 
 
+def _subset_table(values, combine=operator.add) -> list:
+    """The list whose entry ``[mask]`` combines ``values[i]`` over the set
+    bits of ``mask`` (0 for the empty mask), built by doubling."""
+    table = [0]
+    for x in values:  # a 0 doubles the table as it stands: t + 0 == t | 0 == t
+        table += [combine(t, x) for t in table] if x else table
+    return table
+
+
 def _table_component_subsets(
     instance: RcpInstance,
     comps: tuple[tuple[int, ...], ...],
@@ -443,6 +451,52 @@ def _table_component_subsets(
             if need & ~mask == 0:
                 members.append(v)
                 room -= 1
+        vertices = tuple(sorted(members))
+        if profit > best_profit or vertices < best_vertices:
+            best_profit, best_vertices = profit, vertices
+    return frozenset(best_vertices), best_profit
+
+
+def _table_sink_subsets(
+    instance: RcpInstance,
+    comps: tuple[tuple[int, ...], ...],
+    pred_comps: tuple[frozenset[int], ...],
+    sources: list[int],
+    sinks: list[int],
+) -> tuple[frozenset[int], int]:
+    """The sink walk as it was before it went depth first, kept as the
+    reference: it tests every mask over the sinks against per-mask tables of
+    profits and needed sources, and pads each closure that fits."""
+    source_index = {s: i for i, s in enumerate(sources)}
+    need_of = _subset_table(
+        (_mask(source_index[p] for p in pred_comps[s]) for s in sinks), operator.or_
+    )
+    profit_of = _subset_table(instance.profit[comps[s][0]] for s in sinks)
+    source_size = [len(comps[s]) for s in sources]
+    best_profit = -1
+    best_vertices: tuple[int, ...] = ()
+    for mask in range(1 << len(sinks)):
+        profit = profit_of[mask]
+        if profit < best_profit:
+            continue
+        need = need_of[mask]
+        card = mask.bit_count() + sum(source_size[i] for i in range(len(sources)) if need >> i & 1)
+        if card > instance.budget:
+            continue
+        members = [comps[sinks[j]][0] for j in range(len(sinks)) if mask >> j & 1]
+        for i in range(len(sources)):
+            if need >> i & 1:
+                members.extend(comps[sources[i]])
+        top = max(members, default=-1)
+        room = instance.budget - card
+        for i in range(len(sources)):
+            group = comps[sources[i]]
+            if room < 1 or group[0] > top:
+                break
+            if not need >> i & 1 and len(group) <= room:
+                members.extend(group)
+                room -= len(group)
+                top = max(top, group[-1])
         vertices = tuple(sorted(members))
         if profit > best_profit or vertices < best_vertices:
             best_profit, best_vertices = profit, vertices
@@ -510,6 +564,87 @@ def test_component_walk_memory_at_the_ceiling():
     assert peak < 1 << 20
     wide = RcpInstance(Digraph(20, []), [1] * 20, 10)
     assert exact_rcp(wide) == (frozenset(range(10)), 10)
+
+
+def _straddling_two_layer(seed):
+    """Two to five source cycles of one to three vertices and one to three
+    singleton sinks, each fed by one source, with the vertex ids shuffled, so
+    that padding meets cycles that straddle the set's maximum and raise it."""
+    rng = SplitMix64(seed)
+    groups, edges, n = [], [], 0
+    for _ in range(2 + rng.randrange(4)):
+        size = 1 + rng.randrange(3)
+        groups.append(range(n, n + size))
+        edges += [(n + i, n + (i + 1) % size) for i in range(size) if size > 1]
+        n += size
+    for _ in range(1 + rng.randrange(3)):
+        group = groups[rng.randrange(len(groups))]
+        edges.append((group[rng.randrange(len(group))], n))
+        n += 1
+    label = rng.sample(n, n)
+    return Digraph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def _sink_walk_corpus():
+    """Instances whose sources carry no profit: ``dksh_to_rcp`` targets of
+    seeded hypergraphs with their own weights, equal sink profits and sink
+    profits from 0..1000, ``_two_layer`` graphs with their source cycles set
+    to zero profit, and ``_straddling_two_layer`` graphs; each at every
+    budget from 1 to n + 1."""
+    from pocover.reductions import dksh_to_rcp
+
+    rng = SplitMix64(22)
+    graphs = []
+    for seed in range(24):
+        spec = GenSpec("hypergraph", n=2 + seed % 4, k=1, seed=seed,
+                       shape={"num_edges": 1 + seed % 6})
+        art = dksh_to_rcp(generate(spec))
+        target, m = art.target, art.parameters["m"]
+        n = target.graph.vertex_count
+        for sink_profit in (target.profit[n - m:], [7] * m, [rng.randrange(1001) for _ in range(m)]):
+            graphs.append((target.graph, [0] * (n - m) + list(sink_profit)))
+    for seed in range(60):
+        inst = _two_layer(seed)
+        _, comp_of, pred = exact._scc(inst.graph)
+        graphs.append((inst.graph, [p if pred[comp_of[v]] else 0 for v, p in enumerate(inst.profit)]))
+    for seed in range(100):
+        graph = _straddling_two_layer(seed)
+        _, comp_of, pred = exact._scc(graph)
+        graphs.append((graph, [rng.randrange(3) if pred[c] else 0 for c in comp_of]))
+    for graph, profit in graphs:
+        for budget in range(1, graph.vertex_count + 2):
+            yield RcpInstance(graph, profit, budget)
+
+
+def test_sink_walk_matches_the_table_walk(monkeypatch):
+    """The depth-first sink walk returns the table walk's (selection, profit)
+    on every two-layered graph with zero-profit sources."""
+    walks = 0
+    for inst in _sink_walk_corpus():
+        got = run_layer_strategy(inst, "sinks")
+        with monkeypatch.context() as patch:
+            patch.setattr(exact, "_rcp_sink_subsets", _table_sink_subsets)
+            assert got == run_layer_strategy(inst, "sinks"), inst
+        walks += 1
+    assert walks >= 2900, walks
+
+
+def test_sink_walk_memory_at_the_ceiling():
+    """20 zero-profit sources feeding 20 sinks, sink i fed by sources i and
+    i + 1 mod 20, with profits 1000..1019 and budget 30: the table walk
+    peaked at 84.5 MiB under tracemalloc; the depth-first walk holds O(c)
+    state."""
+    n = RCP_MAX_MASK_BITS
+    graph = Digraph(2 * n, [(s, n + i) for i in range(n) for s in (i, (i + 1) % n)])
+    inst = RcpInstance(graph, [0] * n + list(range(1000, 1000 + n)), 30)
+    tracemalloc.start()
+    try:
+        selection, profit = exact_rcp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sorted(selection), profit) == ([0, 1, *range(6, 20), *range(26, 40)], 14175)
+    assert peak < 1 << 20
 
 
 def test_sink_walk_padding_follows_the_growing_maximum():

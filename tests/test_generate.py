@@ -95,12 +95,15 @@ def test_out_tree_childless_shape():
 
 
 def test_out_tree_unsatisfiable_range():
-    """A size_range with no size below the capacity fails before any draw;
-    one that fits the root but no deeper vertex still uses its retries."""
-    for lo, hi, k in ((3, 3, 3), (5, 1, 100), (2, 9, 2)):
+    """A size_range with no size below the capacity fails before any draw,
+    and an inverted one already in the spec; one that fits the root but no
+    deeper vertex still uses its retries."""
+    for lo, hi, k in ((3, 3, 3), (2, 9, 2)):
         shape = {"size_range": (lo, hi)}
         with pytest.raises(GenerationError, match="'size_range'"):
             generate(GenSpec(kind="out_tree", n=4, k=k, seed=0, shape=shape))
+    with pytest.raises(InputError, match="'size_range'"):
+        GenSpec(kind="out_tree", n=4, k=100, seed=0, shape={"size_range": (5, 1)})
     with pytest.raises(GenerationError, match="could not satisfy"):
         generate(GenSpec(kind="out_tree", n=4, k=3, seed=0, shape={"size_range": (2, 2)}))
     single = generate(GenSpec(kind="out_tree", n=1, k=3, seed=0, shape={"size_range": (2, 2)}))

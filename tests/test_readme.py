@@ -1,9 +1,11 @@
-"""The README's "Library" block runs as written against the package root."""
+"""The README's "Library" block runs as written against the package root,
+and its "Exact-solver guards" section states the limits ``exact`` defines."""
 
 import re
 from pathlib import Path
 
 import pocover
+from pocover import exact
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +28,19 @@ def test_package_root_names_resolve():
     assert set(pocover.__all__) == {
         "CtInstance", "InputError", "SizedOutTree", "bounds", "cover", "exact_ct", "verify_ct",
     }
+
+
+def test_readme_states_each_exact_guard():
+    text = README.read_text()
+    section = text[text.index("## Exact-solver guards") :]
+    section = " ".join(section[: section.index("\n## ", 1)].split())
+    exponent = len(str(exact.DKSH_MAX_COMBINATIONS)) - 1
+    assert exact.DKSH_MAX_COMBINATIONS == 10**exponent
+    for stated in (
+        f"maximal-configuration enumeration at {exact.CONFIG_ENUM_MAX_VERTICES} vertices",
+        f"exact tree covering at {exact.EXACT_CT_MAX_VERTICES} vertices",
+        f"hypergraph selection at 10^{exponent} candidate subsets",
+        f"clustered bin packing at {exact.BPCC_MAX_CLUSTER} items per cluster",
+        f"only when it needs more than 2^{exact.RCP_MAX_MASK_BITS}.",
+    ):
+        assert stated in section, stated

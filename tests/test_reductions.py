@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pocover.exact import SizeGuardError, exact_dksh, exact_rcp
+from pocover.exact import BPCC_MAX_CLUSTER, SizeGuardError, exact_bpcc, exact_dksh, exact_rcp
 from pocover.generate import GenSpec, SplitMix64, generate
 from pocover.model import (
     BpccInstance,
@@ -28,6 +28,7 @@ from pocover.reductions import (
     rcp_to_dksh,
     undirected_edges,
 )
+from pocover.verify import VALUE
 
 
 FIG_HYPERGRAPH = DkshInstance(4, [[0, 1, 2], [2, 3]], [1, 1], 3)
@@ -513,5 +514,37 @@ def test_augment_project_keeps_the_budget_and_the_profit_past_the_guard():
             assert len(members) == t * len(selection)
             profit = sum(target.profit[v] for v in members)
             assert sum(rcp.profit[x] for x in selection) == profit
+            checked += 1
+    assert checked == 1000
+
+
+def test_bpcc_map_carries_drawn_packings_past_the_guard():
+    """A packing lifts to a cover of the ``bpcc_to_ct`` star with as many
+    sets, and each lifted bin projects back to itself.  The packings are
+    next-fit over seeded shuffles of each cluster, and every instance has
+    clusters of more than ``BPCC_MAX_CLUSTER`` items."""
+    rng = SplitMix64(31)
+    checked = 0
+    for seed in range(10):
+        bpcc = generate(GenSpec("bpcc", n=60, k=100, seed=seed, shape={"cluster_count": 2}))
+        assert min(map(len, bpcc.clusters)) > BPCC_MAX_CLUSTER
+        with pytest.raises(SizeGuardError):
+            exact_bpcc(bpcc)
+        art = bpcc_to_ct(bpcc)
+        for _ in range(100):
+            packing = []
+            for group in bpcc.clusters:
+                load = bpcc.capacity + 1  # the first item opens a bin
+                for i in rng.sample(len(group), len(group)):
+                    v = group[i]
+                    if load + bpcc.weight[v] > bpcc.capacity:
+                        packing.append(set())
+                        load = 0
+                    packing[-1].add(v)
+                    load += bpcc.weight[v]
+            assert VALUE["bpcc"](bpcc, packing) == len(packing)
+            lifted = [bpcc_map(art, bin_, "lift") for bin_ in packing]
+            assert VALUE["ct"](art.target, lifted) == len(packing)
+            assert [bpcc_map(art, c, "project") for c in lifted] == packing
             checked += 1
     assert checked == 1000
