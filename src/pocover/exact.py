@@ -16,10 +16,11 @@ completed with the best sinks it enables.  The sink walk visits the closure
 of each sink subset within the budget once (at most 2^|sinks|); it runs
 instead on a two-layered condensation whose sources carry no profit and
 number at least as many as the sinks.  So the walk with the fewest masks
-runs, up to a ceiling of 2^20.  Both walks go depth first and keep no
-per-mask table.  The answer does not depend on which one: every walk returns
-the maximum profit and, among the closed sets within the budget that reach
-it, the one with the lexicographically smallest sorted vertex tuple.
+runs, up to a ceiling of 2^20.  Both walks go depth first, keep no per-mask
+table and hold a few ints per frame.  The answer does not depend on which
+one: every walk returns the maximum profit and, among the closed sets within
+the budget that reach it, the one with the lexicographically smallest sorted
+vertex tuple, which ``_precedes`` decides on one int key per set.
 
 The tree-covering solver branches only on maximal configurations, and its
 enumeration walks only toward those, cutting each partial set that can no
@@ -29,7 +30,6 @@ longer end maximal.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from math import comb
 
 from .model import (
@@ -360,6 +360,18 @@ def _scc(
     return graph._condensation
 
 
+def _precedes(key: int, other: int) -> bool:
+    """Whether the set keyed ``key`` has a smaller sorted vertex tuple than
+    the set keyed ``other``.  Each set is a union of components, and its key
+    holds the bits of each one's smallest and largest member.  So the lowest
+    bit where two keys differ is the first vertex in only one set, and a
+    key's top bit is its set's maximum: the set holding that vertex comes
+    first iff the other goes on past it.  Equal keys do not precede."""
+    low = key ^ other
+    low &= -low
+    return other > low if key & low else key < low
+
+
 def _rcp_component_subsets(
     instance: RcpInstance,
     comps: tuple[tuple[int, ...], ...],
@@ -382,13 +394,12 @@ def _rcp_component_subsets(
     the sources of a two-layered condensation, the best sinks for a source
     choice are the top-profit enabled ones, equal-profit sinks smallest first;
     the room left is padded with enabled zero-profit sinks below the set's
-    maximum, smallest first.  That is the smallest sorted tuple among the
-    source choice's optima.
+    maximum, smallest first.  One loop over the enabled sinks by rank takes
+    both, and stops at the first zero-profit sink above the maximum.  That is
+    the smallest sorted tuple among the source choice's optima.
 
-    A set is compared by one int key, the bits of each component's smallest
-    and largest member and of each sink: the lowest bit where two keys differ
-    is the first vertex in one set but not the other, and the top bit is the
-    set's maximum, which is all that comparing sorted tuples reads.
+    A set's key holds the bits of each component's smallest and largest
+    member and of each sink, and tied sets are compared by ``_precedes``.
     """
     profit, budget = instance.profit, instance.budget
     index = {s: i for i, s in enumerate(walked)}
@@ -403,9 +414,6 @@ def _rcp_component_subsets(
     ranked = sorted((-profit[comps[s][0]], comps[s][0], needs[s]) for s in greedy)
     sink_profit = [-p for p, _, _ in ranked]
     sink_bit = [1 << v for _, v, _ in ranked]
-    paying = sum(map(bool, sink_profit))
-    pay_mask = (1 << paying) - 1
-    free_vertices = [v for _, v, _ in ranked[paying:]]
     reach = sum(sink_profit)
     # ahead[i]: the most that components i.. and the sinks can still add
     ahead = [t + reach for t in itertools.accumulate(reversed(gain))][::-1]
@@ -425,28 +433,18 @@ def _rcp_component_subsets(
         # total plus every enabled paying sink, a bound on the set's value
         nonlocal best_profit, best_key
         if worth >= best_profit:
-            room, value, full = budget - used, total, key
-            rest = enabled & pay_mask
-            while rest and room:  # the lowest ``room`` ranks: the best paying sinks
+            room, value, full, rest = budget - used, total, key, enabled
+            while rest and room:  # lowest ranks first: paying sinks, then free ones
                 low = rest & -rest
                 rank = low.bit_length() - 1
+                if not sink_profit[rank] and sink_bit[rank] > full:
+                    break  # a zero-profit sink above the set's maximum
                 value += sink_profit[rank]
                 full |= sink_bit[rank]
                 room -= 1
                 rest ^= low
-            if value >= best_profit:
-                if room and enabled > pay_mask:  # zero-profit sinks below the maximum
-                    below = bisect_left(free_vertices, full.bit_length() - 1)
-                    rest = enabled & ((1 << below) - 1) << paying
-                    while rest and room:
-                        low = rest & -rest
-                        full |= sink_bit[low.bit_length() - 1]
-                        room -= 1
-                        rest ^= low
-                low = full ^ best_key
-                low &= -low
-                if value > best_profit or ((best_key > low) if full & low else (full < low)):
-                    best_profit, best_key = value, full
+            if value > best_profit or value == best_profit and _precedes(full, best_key):
+                best_profit, best_key = value, full
         for i in range(start, c):
             if total + ahead[i] < best_profit:
                 return
@@ -482,43 +480,48 @@ def _rcp_sink_subsets(
     closure would pass the budget, and stops where its profit plus that of
     every later sink is below the best found; ties are still visited.
 
-    Adding a component whose smallest member is below the set's maximum makes
-    the sorted tuple smaller, and adding one above it makes it larger, so the
+    Each frame holds ints: the profit, the needed sources' bits, the
+    closure's size and its key (the bits of each sink and of each needed
+    source's smallest and largest member), compared by ``_precedes``.  The
     smallest padding of a closure takes unused sources in ascending order of
     smallest member, skipping those that do not fit, until one starts above
-    the maximum.
+    the key's top bit: only one below the maximum makes the tuple smaller.
     """
     budget = instance.budget
     index = {s: i for i, s in enumerate(sources)}
     groups = [comps[s] for s in sources]
-    feeders = [[index[p] for p in pred_comps[s]] for s in sinks]
+    size = list(map(len, groups))
+    ends = [1 << g[0] | 1 << g[-1] for g in groups]
+    feeders = [_mask(index[p] for p in pred_comps[s]) for s in sinks]
     vertex = [comps[s][0] for s in sinks]
     gain = [instance.profit[v] for v in vertex]
     # ahead[j]: the profit of sinks j..
     ahead = list(itertools.accumulate(reversed(gain)))[::-1]
-    best_profit, best_vertices = -1, ()
+    best_profit, best_key = -1, 0
 
-    def visit(start: int, profit: int, needed: int, members: list[int]) -> None:
-        # needed: the bits of the sources in the closure; members: its vertices
-        nonlocal best_profit, best_vertices
+    def visit(start: int, profit: int, needed: int, used: int, key: int) -> None:
+        # needed: the bits of the sources in the closure; used: its size
+        nonlocal best_profit, best_key
         if profit >= best_profit:
-            padded, top = list(members), max(members, default=-1)
+            room, full = budget - used, key
             for i, group in enumerate(groups):
-                if len(padded) == budget or group[0] > top:
-                    break
-                if not needed >> i & 1 and len(padded) + len(group) <= budget:
-                    padded += group
-                    top = max(top, group[-1])
-            vertices = tuple(sorted(padded))
-            if profit > best_profit or vertices < best_vertices:
-                best_profit, best_vertices = profit, vertices
+                if not room or 1 << group[0] > full:
+                    break  # no room, or a source above the set's maximum
+                if not needed >> i & 1 and size[i] <= room:
+                    full |= ends[i]
+                    room -= size[i]
+            if profit > best_profit or _precedes(full, best_key):
+                best_profit, best_key = profit, full
         for j in range(start, len(sinks)):
             if profit + ahead[j] < best_profit:
                 return
-            new = [i for i in feeders[j] if not needed >> i & 1]
-            grown = members + [vertex[j], *(v for i in new for v in groups[i])]
-            if len(grown) <= budget:
-                visit(j + 1, profit + gain[j], needed | _mask(new), grown)
+            new = feeders[j] & ~needed
+            grown = used + 1 + _mask_weight(new, size)
+            if grown <= budget:
+                visit(j + 1, profit + gain[j], needed | new, grown,
+                      key | 1 << vertex[j] | _mask_weight(new, ends))
 
-    visit(0, 0, 0, [])
-    return frozenset(best_vertices), best_profit
+    visit(0, 0, 0, 0, 0)
+    chosen = [v for g in groups if best_key >> g[0] & 1 for v in g]
+    chosen += [v for v in vertex if best_key >> v & 1]
+    return frozenset(chosen), best_profit

@@ -303,14 +303,10 @@ def dks_via_urcp(graph: Digraph, k: int) -> PipelineResult:
 
 def _gadget_dims(n: int) -> tuple[int, int, int]:
     """(m, l0, t): leaf count (least power of two >= n), tree depth, and the
-    per-vertex gadget size 1 + 2*(2m-2) + ... = 4m - 3."""
-    m = 1
-    while m < n:
-        m *= 2
-    l0 = m.bit_length() - 1
-    t = 1 + 2 * sum(2**level for level in range(1, l0 + 1))
-    assert t == 4 * m - 3
-    return m, l0, t
+    per-vertex gadget size: the shared root and two trees of 2m - 2 more
+    vertices each, 4m - 3."""
+    m = 1 << (n - 1).bit_length()
+    return m, m.bit_length() - 1, 4 * m - 3
 
 
 def degree_augment(rcp: RcpInstance) -> ReductionArtifact:

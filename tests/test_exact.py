@@ -14,6 +14,7 @@ from pocover.exact import (
     RCP_MAX_MASK_BITS,
     SizeGuardError,
     _mask,
+    _precedes,
     enumerate_configurations,
     exact_bpcc,
     exact_ct,
@@ -585,12 +586,18 @@ def _straddling_two_layer(seed):
     return Digraph(n, [(label[u], label[v]) for u, v in edges])
 
 
+def _ring(s):
+    """``s`` sources and ``s`` sinks, sink i fed by sources i and i + 1 mod s."""
+    return Digraph(2 * s, [(src, s + i) for i in range(s) for src in (i, (i + 1) % s)])
+
+
 def _sink_walk_corpus():
     """Instances whose sources carry no profit: ``dksh_to_rcp`` targets of
     seeded hypergraphs with their own weights, equal sink profits and sink
     profits from 0..1000, ``_two_layer`` graphs with their source cycles set
-    to zero profit, and ``_straddling_two_layer`` graphs; each at every
-    budget from 1 to n + 1."""
+    to zero profit, ``_straddling_two_layer`` graphs, and rings of 3 to 10
+    sinks with zero, unit and 0..2 profits, where almost every node ties the
+    best; each at every budget from 1 to n + 1."""
     from pocover.reductions import dksh_to_rcp
 
     rng = SplitMix64(22)
@@ -611,6 +618,9 @@ def _sink_walk_corpus():
         graph = _straddling_two_layer(seed)
         _, comp_of, pred = exact._scc(graph)
         graphs.append((graph, [rng.randrange(3) if pred[c] else 0 for c in comp_of]))
+    for s in range(3, 11):
+        for sink_profit in ([0] * s, [1] * s, [rng.randrange(3) for _ in range(s)]):
+            graphs.append((_ring(s), [0] * s + sink_profit))
     for graph, profit in graphs:
         for budget in range(1, graph.vertex_count + 2):
             yield RcpInstance(graph, profit, budget)
@@ -629,14 +639,54 @@ def test_sink_walk_matches_the_table_walk(monkeypatch):
     assert walks >= 2900, walks
 
 
+def test_sink_walk_on_18_sink_rings():
+    """Ties at every node of the 2^18 sink subsets: with zero profits every
+    closure ties the empty set, and with unit profits the 10-sink closures
+    of 22 vertices tie one another."""
+    assert exact_rcp(RcpInstance(_ring(18), [0] * 36, 36)) == (frozenset(), 0)
+    selection, profit = exact_rcp(RcpInstance(_ring(18), [0] * 18 + [1] * 18, 22))
+    assert (sorted(selection), profit) == ([*range(12), *range(18, 28)], 10)
+
+
+def test_precedes_orders_like_sorted_tuples():
+    """``_precedes`` on the keys of two unions of components, each key the
+    bits of its components' smallest and largest members, agrees with
+    comparing their sorted vertex tuples: seeded splits of range(n), n <= 12,
+    into components of one to four members, with equal sets and prefixes
+    among the pairs."""
+    rng = SplitMix64(23)
+    kinds = dict.fromkeys(("equal", "prefix", "other"), 0)
+    several = 0
+    for _ in range(300):
+        n = 1 + rng.randrange(12)
+        label = rng.sample(n, n)
+        comps, start = [], 0
+        while start < n:
+            size = 1 + rng.randrange(4)
+            comps.append(sorted(label[start:start + size]))
+            start += size
+        several += any(len(g) > 1 for g in comps)
+        for _ in range(20):
+            a = [g for g in comps if rng.randrange(2)]
+            top = max((g[-1] for g in a), default=-1)
+            b = (a, a + [g for g in comps if g[0] > top and rng.randrange(2)],
+                 [g for g in comps if rng.randrange(2)])[rng.randrange(3)]
+            ta, tb = (tuple(sorted(v for g in x for v in g)) for x in (a, b))
+            ka, kb = (_mask(v for g in x for v in (g[0], g[-1])) for x in (a, b))
+            assert _precedes(ka, kb) == (ta < tb), (ta, tb)
+            assert _precedes(kb, ka) == (tb < ta), (ta, tb)
+            kind = "equal" if ta == tb else "prefix" if tb[:len(ta)] == ta else "other"
+            kinds[kind] += 1
+    assert min(kinds.values()) >= 500 and several >= 200, (kinds, several)
+
+
 def test_sink_walk_memory_at_the_ceiling():
     """20 zero-profit sources feeding 20 sinks, sink i fed by sources i and
     i + 1 mod 20, with profits 1000..1019 and budget 30: the table walk
     peaked at 84.5 MiB under tracemalloc; the depth-first walk holds O(c)
     state."""
     n = RCP_MAX_MASK_BITS
-    graph = Digraph(2 * n, [(s, n + i) for i in range(n) for s in (i, (i + 1) % n)])
-    inst = RcpInstance(graph, [0] * n + list(range(1000, 1000 + n)), 30)
+    inst = RcpInstance(_ring(n), [0] * n + list(range(1000, 1000 + n)), 30)
     tracemalloc.start()
     try:
         selection, profit = exact_rcp(inst)
