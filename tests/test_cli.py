@@ -496,6 +496,36 @@ def test_roundtrip_all_follows_the_kind_order(capsys):
     assert err == f"roundtrip: {len(kinds)} instances, 0 failures, 0 errors\n"
 
 
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        ("0", "38f073af095824db081a53fde280addf04ea5fcffe6addc308cf6ceefb5e5306"),
+        ("1", "d97ce18d2efcd10ac577db06bca5534da64bf0bb08000346c6c34fb82e4b8900"),
+    ],
+)
+def test_roundtrip_output_bytes_are_pinned(capsys, seed, digest):
+    code, out, err = run(capsys, "roundtrip", "--kind", "all", "--count", "25", "--seed", seed)
+    assert code == 0
+    assert err == "roundtrip: 125 instances, 0 failures, 0 errors\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_roundtrip_reports_a_guard_as_error_lines(capsys, monkeypatch):
+    from pocover import exact
+
+    monkeypatch.setattr(exact, "BPCC_MAX_CLUSTER", 0)
+    code, out, err = run(capsys, "roundtrip", "--kind", "bpcc_to_ct", "--count", "3")
+    assert code == 0  # error entries, not failures
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 3
+    for line in lines:
+        assert line["status"] == "error"
+        assert line["error"] == (
+            "oracle guard: exact clustered bin packing is limited to 0 items per cluster"
+        )
+    assert err == "roundtrip: 3 instances, 0 failures, 3 errors\n"
+
+
 def test_build_and_roundtrip_tables_name_the_same_kinds():
     assert tuple(reductions.REDUCTIONS) == reductions.REDUCTION_KINDS
     assert tuple(verify.ROUNDTRIPS) == reductions.REDUCTION_KINDS
