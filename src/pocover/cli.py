@@ -305,21 +305,16 @@ def _cmd_verify(args, emit) -> int:
 def _cmd_roundtrip(args, emit) -> int:
     _check_least("--count", args.count, 0)
     kinds = reductions.REDUCTION_KINDS if args.kind == "all" else (args.kind,)
-    lines = (
-        (report, {"kind": kind, "instance": report.fingerprint})
-        for kind in kinds
-        for report in verify.run_roundtrip(
-            kind, _roundtrip_corpus(kind, args.seed, args.count)
-        )
-    )
-    return _report("roundtrip", lines, emit)
 
+    def lines():  # each line is emitted as soon as its check ends
+        for kind in kinds:
+            draw, check = verify.ROUNDTRIPS[kind]
+            rng = SplitMix64(args.seed)
+            for i in range(args.count):
+                report = check(draw(rng, args.seed + 104729 * i))
+                yield report, {"kind": kind, "instance": report.fingerprint}
 
-def _roundtrip_corpus(kind: str, seed: int, count: int):
-    draw, _ = verify.ROUNDTRIPS[kind]
-    rng = SplitMix64(seed)
-    for i in range(count):
-        yield draw(rng, seed + 104729 * i)
+    return _report("roundtrip", lines(), emit)
 
 
 def _report(command: str, lines, emit) -> int:

@@ -260,16 +260,16 @@ def next_fit(masses: list[int], room: int) -> tuple[list[list[int]], list[int]]:
 def cover(instance: CtInstance) -> CoverResult:
     """Compute a feasible cover of at most twice the optimal cardinality.
 
-    The returned trace records every anchor, the top anchors, the parity
-    correction term, the forced prefix, and where detached zero-size leaves
-    were re-inserted.
+    The returned trace records every anchor, the top anchors, the correction
+    term ``alpha`` of both bounds, the forced prefix, and where detached
+    zero-size leaves were re-inserted.  ``alpha`` is 1 iff the cover ends
+    with a residual set.
     """
     pre = preprocess(instance)
     cover_sets: list[frozenset[int]] = list(pre.forced)
     records: list[AnchorRecord] = []
     fired, residual = anchor_step(instance, pre)
     fired.sort(key=lambda f: f[:2])
-    leftover: dict[int, int] = {}  # anchor -> leftover size
     for iteration, a, sets, anchored, anchored_size, leftover_size, h in fired:
         first = len(cover_sets)
         cover_sets.extend(map(frozenset, sets))
@@ -284,12 +284,11 @@ def cover(instance: CtInstance) -> CoverResult:
                 emitted_sets=tuple(range(first, len(cover_sets))),
             )
         )
-        leftover[a] = leftover_size
     final_residual: Optional[Configuration] = None
     if residual is not None:
         final_residual = frozenset(residual)
         cover_sets.append(final_residual)
-    top_anchors, alpha = _parity_term(instance.tree, pre.alive, leftover)
+    top_anchors = _top_anchors(instance.tree, pre.alive, {rec.anchor for rec in records})
 
     # Each zero leaf joins the first set holding its parent; a parent that is
     # itself a zero leaf was placed just before it.
@@ -309,7 +308,7 @@ def cover(instance: CtInstance) -> CoverResult:
     trace = RunTrace(
         anchors=tuple(records),
         top_anchors=top_anchors,
-        alpha=alpha,
+        alpha=int(final_residual is not None),
         forced_prefix=pre.forced,
         final_residual=final_residual,
         zero_leaf_attachments=attachments,
@@ -333,26 +332,27 @@ def bounds(trace: RunTrace, instance: CtInstance) -> Bounds:
     return Bounds(lower, upper, trace.alpha)
 
 
-def _parity_term(
-    tree: SizedOutTree, alive: tuple[bool, ...], leftover: dict[int, int]
-) -> tuple[frozenset[int], int]:
-    """The top anchors (no anchor above them) among the keys of ``leftover``
-    (anchor -> leftover size), and the 0/1 correction shared by both bounds:
-    1 when a top anchor kept leftovers or some kept leaf has no top anchor
-    above it.  A kept vertex whose children were all peeled is a leaf.  One
-    walk from the root over the kept vertices that stops at top anchors."""
+def _top_anchors(tree: SizedOutTree, alive: tuple[bool, ...], anchors: set[int]) -> frozenset[int]:
+    """The anchors with no anchor above them, by one walk from the root over
+    the kept vertices that stops at anchors.
+
+    The bounds' correction term is 1 iff a top anchor kept leftovers or a
+    kept leaf has no anchor above it, which holds iff a residual set is
+    emitted, so ``cover`` reads ``alpha`` off the residual.  Proof: in
+    ``anchor_step`` a vertex with no anchor at or below it stays active, a
+    top anchor stays active iff it deferred mass, and any other vertex this
+    walk meets is active iff it has an active child, as active children
+    carry positive mass.  So the root ends active exactly under that
+    condition."""
     top: list[int] = []
-    bare_leaf = False
     stack = [tree.root] if alive[tree.root] else []
     while stack:
         v = stack.pop()
-        if v in leftover:
+        if v in anchors:
             top.append(v)
-            continue
-        kids = [c for c in tree.children[v] if alive[c]]
-        stack += kids
-        bare_leaf = bare_leaf or not kids
-    return frozenset(top), int(bare_leaf or any(leftover[a] for a in top))
+        else:
+            stack += [c for c in tree.children[v] if alive[c]]
+    return frozenset(top)
 
 
 def _path_weights(tree: SizedOutTree) -> list[int]:

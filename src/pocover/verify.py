@@ -9,17 +9,18 @@ the value of a feasible rcp, dksh, ct or bpcc solution, else None.  Each row
 of ``TRIPS`` is one reduction's optimum round trip: solve both sides exactly,
 compare the optima, carry each optimum across and ask ``VALUE`` that it keeps
 its value, then check the construction's own claims.  ``ROUNDTRIPS`` maps each
-reduction kind to its check and to the draw of the CLI's round-trip corpus;
-``run_roundtrip`` dispatches through it.
+reduction kind to its check and to the draw of the CLI's round-trip corpus.
 
 A report with an ``error`` is an instance that could not be processed (e.g.
 infeasible, or beyond an oracle guard); it does not count as a failed check.
+Every check reports its own oracle guard that way: none raises
+``SizeGuardError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import exact, reductions
 from .generate import GenSpec, SplitMix64, generate
@@ -304,8 +305,11 @@ def _round_trip(kind: str, source) -> RoundtripReport:
     optimum across, and run the checks of ``TRIPS[kind]``."""
     source_kind, target_kind, (lift_name, project_name), lift, project, extra = TRIPS[kind]
     artifact = getattr(reductions, kind)(source)
-    solution, value = _optimum(source_kind, source)
-    target_solution, target_value = _optimum(target_kind, artifact.target)
+    try:
+        solution, value = _optimum(source_kind, source)
+        target_solution, target_value = _optimum(target_kind, artifact.target)
+    except exact.SizeGuardError as exc:
+        return RoundtripReport(kind, fingerprint(source), (), f"oracle guard: {exc}")
     lifted = lift(artifact, solution)
     projected = project(artifact, target_solution)
     checks = {
@@ -412,16 +416,18 @@ def roundtrip_dks_pipeline(graph: Digraph, k: int) -> RoundtripReport:
     optimum."""
     checks: list[tuple[str, bool]] = []
     und = reductions.undirected_edges(graph)
-    fp = _pipeline_fingerprint(graph, k)
+    fp = reductions.fingerprint_graph(graph) + f"/k{k}"
 
     # dks_via_urcp's guard implies exact_dksh's, so a graph it refuses is never
     # enumerated
-    result = reductions.dks_via_urcp(graph, k)
-    if und:
-        dks = DkshInstance(graph.vertex_count, [list(e) for e in und], [1] * len(und), k)
-        _, optimum = exact.exact_dksh(dks)
-    else:
+    try:
+        result = reductions.dks_via_urcp(graph, k)
         optimum = 0
+        if und:
+            dks = DkshInstance(graph.vertex_count, [list(e) for e in und], [1] * len(und), k)
+            _, optimum = exact.exact_dksh(dks)
+    except exact.SizeGuardError as exc:
+        return RoundtripReport("dks_to_urcp", fp, (), f"oracle guard: {exc}")
 
     induced = sum(1 for u, v in und if u in result.solution and v in result.solution)
     checks.append(("pipeline_matches_exact", induced == optimum))
@@ -438,10 +444,6 @@ def roundtrip_dks_pipeline(graph: Digraph, k: int) -> RoundtripReport:
     )
     checks.append(("copies_all_or_nothing", group_ok))
     return RoundtripReport("dks_to_urcp", fp, tuple(checks), None)
-
-
-def _pipeline_fingerprint(graph: Digraph, k: int) -> str:
-    return reductions.fingerprint_graph(graph) + f"/k{k}"
 
 
 def _draw_bpcc(rng: SplitMix64, seed: int) -> BpccInstance:
@@ -484,22 +486,3 @@ ROUNDTRIPS = {
     "dks_to_urcp": (_draw_graph_and_budget, lambda pair: roundtrip_dks_pipeline(*pair)),
     "degree_augment": (_draw_digraph(4), roundtrip_degree_augment),
 }
-
-
-def run_roundtrip(kind: str, instances: Iterable) -> list[RoundtripReport]:
-    """Run a stream of instances through one reduction's round trip.
-
-    For ``dks_to_urcp`` the stream consists of (graph, k) pairs.  Oracle
-    guard violations become error entries rather than failures.
-    """
-    if kind not in ROUNDTRIPS:
-        raise ValueError(f"unknown roundtrip kind {kind!r}")
-    _, check = ROUNDTRIPS[kind]
-    reports = []
-    for item in instances:
-        try:
-            reports.append(check(item))
-        except exact.SizeGuardError as exc:
-            fp = _pipeline_fingerprint(*item) if kind == "dks_to_urcp" else fingerprint(item)
-            reports.append(RoundtripReport(kind, fp, (), f"oracle guard: {exc}"))
-    return reports

@@ -225,19 +225,19 @@ def test_criterion_5_reduction_optimum_preservation(roundtrip_corpora):
     failures = []
     for h in hypergraphs:
         report = roundtrip_dksh_to_rcp(h)
-        if not report.passed:
-            failures.append(("dksh_to_rcp", report.fingerprint, report.failed_checks()))
+        if report.error is not None or not report.passed:
+            failures.append(("dksh_to_rcp", report.fingerprint, report.error or report.failed_checks()))
     for g in digraphs:
         report = roundtrip_rcp_to_dksh(g)
-        if not report.passed:
-            failures.append(("rcp_to_dksh", report.fingerprint, report.failed_checks()))
+        if report.error is not None or not report.passed:
+            failures.append(("rcp_to_dksh", report.fingerprint, report.error or report.failed_checks()))
         report = roundtrip_degree_augment(g)
-        if not report.passed:
-            failures.append(("degree_augment", report.fingerprint, report.failed_checks()))
+        if report.error is not None or not report.passed:
+            failures.append(("degree_augment", report.fingerprint, report.error or report.failed_checks()))
     for b in bpccs:
         report = roundtrip_bpcc_to_ct(b)
-        if not report.passed:
-            failures.append(("bpcc_to_ct", report.fingerprint, report.failed_checks()))
+        if report.error is not None or not report.passed:
+            failures.append(("bpcc_to_ct", report.fingerprint, report.error or report.failed_checks()))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 600.0
     _announce(
@@ -295,8 +295,8 @@ def test_criterion_7_pipeline_matches_exact():
             )
         )
         report = roundtrip_dks_pipeline(instance.graph, k)
-        if not report.passed:
-            failures.append((report.fingerprint, report.failed_checks()))
+        if report.error is not None or not report.passed:
+            failures.append((report.fingerprint, report.error or report.failed_checks()))
     _announce(
         "criterion 7",
         not failures,

@@ -1,11 +1,13 @@
 """The README's "Library" block runs as written against the package root,
+its "Round-trip checks" table names each kind's checks in the order they run,
 and its "Exact-solver guards" section states the limits ``exact`` defines."""
 
 import re
 from pathlib import Path
 
 import pocover
-from pocover import exact
+from pocover import exact, verify
+from pocover.generate import SplitMix64
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -44,3 +46,18 @@ def test_readme_states_each_exact_guard():
         f"only when it needs more than 2^{exact.RCP_MAX_MASK_BITS}.",
     ):
         assert stated in section, stated
+
+
+def test_readme_round_trip_table_names_the_checks_in_order():
+    text = README.read_text()
+    section = text[text.index("### Round-trip checks") :]
+    section = section[: section.index("\n#", 1)]
+    table = {}
+    for row in re.findall(r"^\| `(\w+)` \|(.*)\|$", section, re.M):
+        kind, checks = row
+        table[kind] = re.findall(r"`(\w+)`", checks)
+    assert list(table) == list(verify.ROUNDTRIPS)
+    for kind, (draw, check) in verify.ROUNDTRIPS.items():
+        report = check(draw(SplitMix64(0), 0))
+        assert report.error is None and report.passed
+        assert [name for name, _ in report.checks] == table[kind], kind

@@ -26,7 +26,6 @@ from pocover.treecover import (
     cover,
     next_fit,
     preprocess,
-    _parity_term,
     _path_weights,
 )
 from pocover.verify import reduced_instance, structural_checks
@@ -662,10 +661,34 @@ def _oracle_next_fit(instance, active, a):
     return tuple(sets), frozenset().union(*sets) - path, leftover
 
 
+def _parity_term(
+    tree: SizedOutTree, alive: tuple[bool, ...], leftover: dict[int, int]
+) -> tuple[frozenset[int], int]:
+    """The top anchors (no anchor above them) among the keys of ``leftover``
+    (anchor -> leftover size), and the 0/1 correction shared by both bounds:
+    1 when a top anchor kept leftovers or some kept leaf has no top anchor
+    above it.  A kept vertex whose children were all peeled is a leaf.  One
+    walk from the root over the kept vertices that stops at top anchors."""
+    top: list[int] = []
+    bare_leaf = False
+    stack = [tree.root] if alive[tree.root] else []
+    while stack:
+        v = stack.pop()
+        if v in leftover:
+            top.append(v)
+            continue
+        kids = [c for c in tree.children[v] if alive[c]]
+        stack += kids
+        bare_leaf = bare_leaf or not kids
+    return frozenset(top), int(bare_leaf or any(leftover[a] for a in top))
+
+
 def _oracle_cover(instance):
     """``cover`` as a loop of rounds: each round selects the anchors of the
     active set, packs them, and rebuilds the active set as the ancestor
-    closure of what no set took."""
+    closure of what no set took.  Its ``alpha`` comes from ``_parity_term``
+    (top anchors that kept leftovers, or a bare leaf), where ``cover`` reads
+    it off the residual set."""
     pre = preprocess(instance)
     cover_sets = list(pre.forced)
     records = []

@@ -20,7 +20,6 @@ from pocover.verify import (
     roundtrip_dks_pipeline,
     roundtrip_dksh_to_rcp,
     roundtrip_rcp_to_dksh,
-    run_roundtrip,
     structural_checks,
     verify_ct,
 )
@@ -77,25 +76,25 @@ def test_run_verify_batch():
 def test_roundtrip_bpcc():
     bpcc = generate(GenSpec(kind="bpcc", n=6, k=4, seed=77, shape={"cluster_count": 2}))
     report = roundtrip_bpcc_to_ct(bpcc)
-    assert report.passed, report.failed_checks()
+    assert report.error is None and report.passed, report.failed_checks()
 
 
 def test_roundtrip_dksh():
     h = generate(GenSpec(kind="hypergraph", n=5, k=3, seed=41, shape={"num_edges": 3}))
     report = roundtrip_dksh_to_rcp(h)
-    assert report.passed, report.failed_checks()
+    assert report.error is None and report.passed, report.failed_checks()
 
 
 def test_roundtrip_rcp():
     rcp = generate(GenSpec(kind="digraph", n=6, k=3, seed=13))
     report = roundtrip_rcp_to_dksh(rcp)
-    assert report.passed, report.failed_checks()
+    assert report.error is None and report.passed, report.failed_checks()
 
 
 def test_roundtrip_degree():
     rcp = generate(GenSpec(kind="digraph", n=5, k=2, seed=29))
     report = roundtrip_degree_augment(rcp)
-    assert report.passed, report.failed_checks()
+    assert report.error is None and report.passed, report.failed_checks()
     names = dict(report.checks)
     assert names["degree_at_most_2"]
     assert names["reachability_preserved"]
@@ -104,7 +103,7 @@ def test_roundtrip_degree():
 
 def test_roundtrip_pipeline_triangle():
     report = roundtrip_dks_pipeline(Digraph(3, [(0, 1), (1, 2), (0, 2)]), 2)
-    assert report.passed, report.failed_checks()
+    assert report.error is None and report.passed, report.failed_checks()
 
 
 def test_pipeline_check_catches_a_record_that_splits_a_copy_group(monkeypatch):
@@ -125,16 +124,14 @@ def test_pipeline_check_catches_a_record_that_splits_a_copy_group(monkeypatch):
 
 def test_run_roundtrip_dispatch_and_guard():
     h = generate(GenSpec(kind="hypergraph", n=4, k=2, seed=3, shape={"num_edges": 2}))
-    reports = run_roundtrip("dksh_to_rcp", [h])
-    assert len(reports) == 1 and reports[0].passed
+    _, check = verify.ROUNDTRIPS["dksh_to_rcp"]
+    report = check(h)
+    assert report.error is None and report.passed
 
     # beyond the pipeline's oracle guard: error entry, not a crash
     big = Digraph(30, [(i, i + 1) for i in range(29)])
-    reports = run_roundtrip("dks_to_urcp", [(big, 6)])
-    assert reports[0].error is not None
-
-    with pytest.raises(ValueError):
-        run_roundtrip("upside_down", [h])
+    _, check = verify.ROUNDTRIPS["dks_to_urcp"]
+    assert check((big, 6)).error is not None
 
 
 def _multi_round_run():
@@ -396,7 +393,8 @@ def test_degree_round_trip_condenses_each_graph_once(monkeypatch):
     for i in range(60):
         rcp = draw(rng, 3 + 104729 * i)
         before = len(computed)
-        assert check(rcp).passed
+        report = check(rcp)
+        assert report.error is None and report.passed
         trip = computed[before:]
         # the source graph, then the gadget graph
         assert len(trip) == 2 and trip[0] is rcp.graph
@@ -522,8 +520,8 @@ CHECK_NAMES = {
 
 @pytest.mark.parametrize("kind", list(CHECK_NAMES))
 def test_round_trip_check_names_in_order(kind):
-    draw, _ = verify.ROUNDTRIPS[kind]
-    [report] = run_roundtrip(kind, [draw(SplitMix64(0), 0)])
+    draw, check = verify.ROUNDTRIPS[kind]
+    report = check(draw(SplitMix64(0), 0))
     assert report.error is None and report.passed
     assert [name for name, _ in report.checks] == CHECK_NAMES[kind]
 
@@ -621,7 +619,8 @@ BROKEN_MAPS = [
 def test_a_broken_map_fails_exactly_its_check(monkeypatch, kind, source, breaks, failed):
     check = getattr(verify, f"roundtrip_{kind}")
     instance = generate(source) if isinstance(source, GenSpec) else source
-    assert check(instance).passed
+    report = check(instance)
+    assert report.error is None and report.passed
     breaks(monkeypatch)
     assert check(instance).failed_checks() == [failed]
 
@@ -631,14 +630,45 @@ def test_a_guard_error_names_its_instance():
 
     # one cluster past exact_bpcc's guard
     bpcc = BpccInstance([list(range(19))], [1] * 19, 5)
-    [report] = run_roundtrip("bpcc_to_ct", [bpcc])
+    report = roundtrip_bpcc_to_ct(bpcc)
     assert report.error is not None and report.checks == ()
     assert report.fingerprint == fingerprint(bpcc)
 
     big = Digraph(30, [(i, i + 1) for i in range(29)])
-    [report] = run_roundtrip("dks_to_urcp", [(big, 6)])
+    report = roundtrip_dks_pipeline(big, 6)
     assert report.error is not None and report.checks == ()
     assert report.fingerprint == reductions.fingerprint_graph(big) + "/k6"
+
+
+_PIPELINE_PATH = Digraph(30, [(i, i + 1) for i in range(29)])
+
+# kind -> (the guard it lowers, to what, the source); dks_to_urcp needs no
+# patch, as a 30-vertex path is past the pipeline's own guard
+GUARDS = {
+    "bpcc_to_ct": ("BPCC_MAX_CLUSTER", 0, generate(_BPCC)),
+    "dksh_to_rcp": ("DKSH_MAX_COMBINATIONS", 0, generate(_DKSH)),
+    "rcp_to_dksh": ("RCP_MAX_MASK_BITS", -1, generate(_RCP)),
+    "dks_to_urcp": (None, None, (_PIPELINE_PATH, 6)),
+    "degree_augment": ("RCP_MAX_MASK_BITS", -1, _SPARE),
+}
+
+
+@pytest.mark.parametrize("kind", list(GUARDS))
+def test_each_round_trip_reports_its_guard(monkeypatch, kind):
+    from pocover import exact
+    from pocover.serialize import fingerprint
+
+    name, limit, source = GUARDS[kind]
+    if name is not None:
+        monkeypatch.setattr(exact, name, limit)
+    _, check = verify.ROUNDTRIPS[kind]
+    report = check(source)  # a report, not a raise
+    assert report.kind == kind and report.checks == ()
+    assert report.error.startswith("oracle guard: ")
+    if kind == "dks_to_urcp":
+        assert report.fingerprint == reductions.fingerprint_graph(_PIPELINE_PATH) + "/k6"
+    else:
+        assert report.fingerprint == fingerprint(source)
 
 
 _PATH = RcpInstance(Digraph(3, [(0, 1), (1, 2)]), [1, 2, 4], 2)
