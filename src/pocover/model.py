@@ -348,13 +348,14 @@ def validate_configuration(instance: CtInstance, members: Iterable[int]) -> Opti
     if not members:
         return None
     # One C-level gather.  A negative id would wrap, so it goes first; then the
-    # id-by-id check names a bad id, or else the gather's own error stands.
+    # type and range checks name a bad member, or else the gather's error stands.
     get = itemgetter(*members)
     try:
         if min(members) < 0:
             raise IndexError
         parents, sizes = get(tree.parent), get(tree.size)
     except (IndexError, TypeError):
+        _check_ints(members, "configuration")
         _check_range(tree.vertex_count, members, "configuration")
         raise
     if len(members) == 1:  # itemgetter of one index returns the item bare

@@ -6,8 +6,9 @@ below their root path, while every child's does.  The active child subtrees
 of each anchor are packed next-fit into configurations that all carry the
 anchor's root path; if the packing ends on an odd set, the last set is dropped
 and its vertices are deferred to a later round.  One post-order sweep
-(``anchor_step``) finds every anchor with its round and packing, and ``cover``
-emits their sets round by round.  The recorded run trace supports
+(``anchor_step``) finds every anchor with its round and packed bins, and
+``cover`` joins each bin to the anchor's root path, taken once per anchor, and
+emits the sets round by round.  The recorded run trace supports
 instance-specific lower and upper bounds on the optimal cover cardinality
 whose ratio never exceeds 2.
 
@@ -152,11 +153,10 @@ def anchor_step(
     post-order sweep over the vertices that preprocessing ``pre`` kept.
 
     Returns ``(fired, residual)``.  ``fired`` holds one tuple per anchor,
-    ``(round, anchor, sets, anchored, anchored_size, leftover_size, h)``:
-    the sets it emits as vertex lists that carry its root path, the vertices
-    those sets anchor, the anchored and the deferred mass, and the anchor's
-    root-path weight.  ``residual`` lists the vertices still active at the
-    end, or is None when none is.
+    ``(round, anchor, bins, anchored_size, leftover_size)``: the vertices of
+    the child subtrees packed into each of its sets, without its root path,
+    and the anchored and the deferred mass.  ``residual`` lists the vertices
+    still active at the end, or is None when none is.
 
     The sweep visits each vertex after its children and keeps, for the state
     after every anchor below it has fired, whether it is still active, the
@@ -196,24 +196,18 @@ def anchor_step(
         if below[v] > room:
             live = [c for c in children[v] if active[c]]
             masses = [size[c] + below[c] for c in live]
-            bins, dropped = next_fit(masses, room)
-            path = tree.ancestors(v)
-            sets: list[list[int]] = []
-            anchored: list[int] = []
-            for packed in bins:
-                q = list(path)
-                stack = [live[i] for i in packed]
-                for c in stack:
+            packed, dropped = next_fit(masses, room)
+            bins: list[list[int]] = []
+            for items in packed:
+                q = [live[i] for i in items]
+                for c in q:
                     active[c] = False
-                while stack:
-                    u = stack.pop()
-                    q.append(u)
-                    stack.extend([c for c in children[u] if active[c]])
-                anchored += q[len(path):]
-                sets.append(q)
+                for u in q:
+                    q.extend([c for c in children[u] if active[c]])
+                bins.append(q)
             leftover = sum(masses[i] for i in dropped)
             latest[v] += 1  # one round after the latest anchor below it
-            fired.append((latest[v], v, sets, anchored, below[v] - leftover, leftover, h[v]))
+            fired.append((latest[v], v, bins, below[v] - leftover, leftover))
             below[v] = leftover
             active[v] = bool(dropped)
         else:
@@ -260,27 +254,40 @@ def next_fit(masses: list[int], room: int) -> tuple[list[list[int]], list[int]]:
 def cover(instance: CtInstance) -> CoverResult:
     """Compute a feasible cover of at most twice the optimal cardinality.
 
-    The returned trace records every anchor, the top anchors, the correction
-    term ``alpha`` of both bounds, the forced prefix, and where detached
-    zero-size leaves were re-inserted.  ``alpha`` is 1 iff the cover ends
-    with a residual set.
+    Each anchor's sets join its root path to each of its bins; it is a top
+    anchor iff that path holds no other anchor.  The trace records every
+    anchor, the top anchors, the correction term ``alpha`` of both bounds,
+    the forced prefix, and where detached zero-size leaves were re-inserted.
+
+    ``alpha`` is 1 iff a top anchor kept leftovers or a kept leaf has no
+    anchor on its root path, which holds iff a residual set is emitted, so it
+    is read off the residual.  Proof: in ``anchor_step`` a vertex with no
+    anchor at or below it stays active, a top anchor stays active iff it
+    deferred mass, and a kept vertex with an anchor below it but none on its
+    root path is active iff it has an active child, as active children carry
+    positive mass.  So the root ends active exactly under that condition.
     """
     pre = preprocess(instance)
     cover_sets: list[frozenset[int]] = list(pre.forced)
     records: list[AnchorRecord] = []
+    top_anchors: list[int] = []
     fired, residual = anchor_step(instance, pre)
     fired.sort(key=lambda f: f[:2])
-    for iteration, a, sets, anchored, anchored_size, leftover_size, h in fired:
+    anchors = {f[1] for f in fired}
+    for iteration, a, bins, anchored_size, leftover_size in fired:
+        path = instance.tree.ancestors(a)
+        if len(path & anchors) == 1:
+            top_anchors.append(a)
         first = len(cover_sets)
-        cover_sets.extend(map(frozenset, sets))
+        cover_sets.extend([path.union(q) for q in bins])
         records.append(
             AnchorRecord(
                 anchor=a,
                 iteration=iteration,
-                h=h,
+                h=pre.h[a],
                 anchored_size=anchored_size,
                 leftover_size=leftover_size,
-                anchored_vertices=frozenset(anchored),
+                anchored_vertices=frozenset().union(*bins),
                 emitted_sets=tuple(range(first, len(cover_sets))),
             )
         )
@@ -288,7 +295,6 @@ def cover(instance: CtInstance) -> CoverResult:
     if residual is not None:
         final_residual = frozenset(residual)
         cover_sets.append(final_residual)
-    top_anchors = _top_anchors(instance.tree, pre.alive, {rec.anchor for rec in records})
 
     # Each zero leaf joins the first set holding its parent; a parent that is
     # itself a zero leaf was placed just before it.
@@ -307,7 +313,7 @@ def cover(instance: CtInstance) -> CoverResult:
 
     trace = RunTrace(
         anchors=tuple(records),
-        top_anchors=top_anchors,
+        top_anchors=frozenset(top_anchors),
         alpha=int(final_residual is not None),
         forced_prefix=pre.forced,
         final_residual=final_residual,
@@ -330,29 +336,6 @@ def bounds(trace: RunTrace, instance: CtInstance) -> Bounds:
         upper += 2 * (rec.anchored_size // (k - rec.h + 1))
         lower += rec.anchored_size // (k - rec.h)
     return Bounds(lower, upper, trace.alpha)
-
-
-def _top_anchors(tree: SizedOutTree, alive: tuple[bool, ...], anchors: set[int]) -> frozenset[int]:
-    """The anchors with no anchor above them, by one walk from the root over
-    the kept vertices that stops at anchors.
-
-    The bounds' correction term is 1 iff a top anchor kept leftovers or a
-    kept leaf has no anchor above it, which holds iff a residual set is
-    emitted, so ``cover`` reads ``alpha`` off the residual.  Proof: in
-    ``anchor_step`` a vertex with no anchor at or below it stays active, a
-    top anchor stays active iff it deferred mass, and any other vertex this
-    walk meets is active iff it has an active child, as active children
-    carry positive mass.  So the root ends active exactly under that
-    condition."""
-    top: list[int] = []
-    stack = [tree.root] if alive[tree.root] else []
-    while stack:
-        v = stack.pop()
-        if v in anchors:
-            top.append(v)
-        else:
-            stack += [c for c in tree.children[v] if alive[c]]
-    return frozenset(top)
 
 
 def _path_weights(tree: SizedOutTree) -> list[int]:

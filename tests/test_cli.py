@@ -720,3 +720,34 @@ def test_impossible_size_range_exits_two_before_drawing(capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("pocover: error: shape field 'size_range'")
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["gen", "--kind", "bp_star", "--k", "3", "--shape", '{"size_range": [5, 6]}'], None,
+         "size_range exceeds the capacity"),
+        (["gen", "--kind", "bp_star", "--k", "3", "--shape", '{"items": [9]}'], None,
+         "item larger than the capacity"),
+        (["gen", "--kind", "hypergraph", "--n", "3", "--shape", '{"arity_range": [1, 5]}'], None,
+         "arity_range (1, 5) is unsatisfiable"),
+        (["gen", "--kind", "bpcc", "--n", "3", "--shape", '{"cluster_count": 5}'], None,
+         "cluster_count must be in [1, n]"),
+        (["gen", "--kind", "bpcc", "--k", "3", "--shape", '{"weight_range": [5, 6]}'], None,
+         "weight_range exceeds the capacity"),
+        (["solve"], {**CT, "n": 0, "parent": [], "size": []}, "tree must have at least one vertex"),
+        (["solve"], {**CT, "size": [0, 1]}, "parent and size arrays must have equal length"),
+        (["solve"], {**DKSH, "n": 0, "hyperedges": [], "weight": []},
+         "hypergraph must have at least one vertex"),
+        (["solve"], {**DKSH, "weight": [1]}, "weight array length must match hyperedge count"),
+        (["solve"], {**DKSH, "k": 0}, "budget must be at least 1"),
+        (["solve"], {**BPCC, "k": 0}, "capacity must be at least 1"),
+        (["solve"], {**BPCC, "weight": [2, -1, 3]}, "item weights must be nonnegative"),
+        (["reduce", "--kind", "dks_to_urcp", "--k", "0"], RCP, "subgraph budget k must be at least 1"),
+    ],
+)
+def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, doc, message):
+    files = [] if doc is None else [str(_write(tmp_path, doc))]
+    code, out, err = run(capsys, *argv, *files)
+    assert (code, out) == (2, "")
+    assert err == f"pocover: error: {message}\n"

@@ -41,6 +41,18 @@ def test_splitmix64_ranges():
         rng.randint(3, 2)
 
 
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda rng: rng.randrange(0), "randrange bound must be positive"),
+        (lambda rng: rng.sample(2, 3), "sample larger than population"),
+    ],
+)
+def test_splitmix64_refuses_an_empty_draw(draw, message):
+    with pytest.raises(InputError, match=rf"^{message}$"):
+        draw(SplitMix64(1))
+
+
 def test_genspec_validation():
     with pytest.raises(InputError):
         GenSpec(kind="nope", n=3, k=2, seed=0)

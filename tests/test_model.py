@@ -271,6 +271,23 @@ def test_validate_configuration_names_a_vertex_out_of_range(two_leaf_instance, v
             validate_configuration(two_leaf_instance, members)
 
 
+@pytest.mark.parametrize("member, name", [(0.5, "float"), ("a", "str")])
+def test_a_configuration_member_that_is_not_an_int_is_an_input_error(
+    two_leaf_instance, member, name
+):
+    message = rf"^configuration: expected int, got {name}$"
+    for members in ([member], [0, 1, member]):
+        with pytest.raises(InputError, match=message):
+            validate_configuration(two_leaf_instance, members)
+        with pytest.raises(InputError, match=message):
+            validate_cover(two_leaf_instance, [members])
+
+
+def test_rcp_instance_rejects_a_profit_list_of_another_length():
+    with pytest.raises(InputError, match=r"^profit array length must match vertex count$"):
+        RcpInstance(Digraph(2, []), [1], 1)
+
+
 def test_validate_cover(two_leaf_instance):
     single = CtInstance(SizedOutTree([None], [1]), 1)
     assert validate_cover(single, [frozenset({0})]) is None

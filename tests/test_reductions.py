@@ -15,6 +15,7 @@ from pocover.model import (
     validate_configuration,
 )
 from pocover.reductions import (
+    ReductionArtifact,
     augment_map,
     bpcc_map,
     bpcc_to_ct,
@@ -417,6 +418,37 @@ def test_augment_project_names_the_owner_of_every_member():
             assert augment_map(art, members, "project") == expected
         with pytest.raises(InputError):
             augment_map(art, {size}, "project")
+
+
+_AUGMENT = degree_augment(RcpInstance(Digraph(2, [(0, 1)]), [1, 5], 1))
+_BPCC = bpcc_to_ct(BpccInstance([[0, 1], [2]], [2, 3, 3], 4))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # an arc's tail without its head is not closed
+        (lambda: augment_map(_AUGMENT, {_AUGMENT.target.graph.edges[0][0]}, "project"),
+         "not a feasible closed selection"),
+        (lambda: augment_map(_AUGMENT, {0}, "sideways"), "unknown direction 'sideways'"),
+        (lambda: dksh_rcp_map(dksh_to_rcp(FIG_HYPERGRAPH), {0}, "sideways"),
+         "unknown direction 'sideways'"),
+        (lambda: augment_map(_BPCC, {0}, "lift"),
+         "artifact is 'bpcc_to_ct', expected 'degree_augment'"),
+        (lambda: bpcc_map(_BPCC, [0, 1], "lift"), "configuration exceeds the packing capacity"),
+        (lambda: bpcc_map(_BPCC, [0, 0.5], "project"), "configuration: expected int, got float"),
+        (lambda: bpcc_map(_BPCC, ["a"], "project"), "configuration: expected int, got str"),
+        (lambda: ReductionArtifact("bogus", None, None, {}), "unknown reduction kind 'bogus'"),
+    ],
+    ids=[
+        "augment-unclosed", "augment-direction", "dksh-direction", "augment-wrong-artifact",
+        "bpcc-over-capacity", "bpcc-float-member", "bpcc-str-member", "unknown-kind",
+    ],
+)
+def test_map_misuse_is_an_input_error_with_its_message(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_augment_preserves_optimum_small():

@@ -243,3 +243,12 @@ def test_instance_files_match_the_json_reference():
         assert dumps_instance(instance) == _json_reference(instance)
         count += 1
     assert count >= 2000
+
+
+@pytest.mark.parametrize(
+    "render, message",
+    [(instance_to_doc, "cannot serialize object"), (emit_dot, "cannot render object")],
+)
+def test_an_object_that_is_no_instance_is_refused(render, message):
+    with pytest.raises(InputError, match=rf"^{message}$"):
+        render(object())

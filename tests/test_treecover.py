@@ -135,17 +135,14 @@ def test_preprocess_postconditions_on_random_trees():
 
 
 def _fired_sets(fired):
-    """The sweep's anchors with their sets and anchored vertices as sets."""
-    return [
-        (rnd, a, [set(q) for q in sets], set(anchored), *rest)
-        for rnd, a, sets, anchored, *rest in fired
-    ]
+    """The sweep's anchors with their bins as sets."""
+    return [(rnd, a, [set(q) for q in bins], *rest) for rnd, a, bins, *rest in fired]
 
 
 def test_anchor_step_star(star4):
     # The root anchors all four leaves in round 1 and leaves nothing active.
     fired, residual = anchor_step(star4, preprocess(star4))
-    assert _fired_sets(fired) == [(1, 0, [{0, 1, 2}, {0, 3, 4}], {1, 2, 3, 4}, 12, 0, 0)]
+    assert _fired_sets(fired) == [(1, 0, [{1, 2}, {3, 4}], 12, 0)]
     assert residual is None
 
 
@@ -153,9 +150,7 @@ def test_anchor_step_chain(chain4):
     # Vertex 1 (room 3) anchors its four size-2 leaves, one per set, and
     # leaves nothing active.
     fired, residual = anchor_step(chain4, preprocess(chain4))
-    assert _fired_sets(fired) == [
-        (1, 1, [{0, 1, 2}, {0, 1, 3}, {0, 1, 4}, {0, 1, 5}], {2, 3, 4, 5}, 8, 0, 1)
-    ]
+    assert _fired_sets(fired) == [(1, 1, [{2}, {3}, {4}, {5}], 8, 0)]
     assert residual is None
 
 
@@ -513,6 +508,9 @@ def test_oracle_free_checks_at_scale(build):
     b = bounds(result.trace, inst)
     assert result.trace.loop_and_residual_count() <= b.upper <= 2 * b.lower
     assert len(result.cover) <= b.upper + len(result.trace.forced_prefix)
+    leftover = {rec.anchor: rec.leftover_size for rec in result.trace.anchors}
+    top, _ = _parity_term(inst.tree, preprocess(inst).alive, leftover)
+    assert result.trace.top_anchors == top
 
 
 def test_factor_two_is_tight_at_scale():
