@@ -23,7 +23,7 @@ from pathlib import Path
 from . import exact, reductions, serialize, treecover, verify
 from .generate import GEN_KINDS, GenerationError, GenSpec, SplitMix64
 from .generate import generate as generate_instance
-from .model import CtInstance, DkshInstance, InputError, RcpInstance
+from .model import KIND, CtInstance, InputError
 
 
 def main(argv=None) -> int:
@@ -177,47 +177,39 @@ def _load(path: Path, expected: type = object):
     return instance
 
 
+# kind -> the names of a solve line's solution field and value field
+_SOLVE_FIELDS = {
+    "ct": ("cover", "cardinality"),
+    "bpcc": ("cover", "cardinality"),
+    "rcp": ("solution", "profit"),
+    "dksh": ("solution", "weight"),
+}
+
+
 def _cmd_solve(args, emit) -> int:
     for i, path in enumerate(args.files):
         instance = _load(path)
         if args.emit_dot and i == 0:
             args.emit_dot.write_text(serialize.emit_dot(instance))
+        kind = KIND[type(instance)]
         doc = {"file": str(path), "fingerprint": serialize.fingerprint(instance)}
         try:
-            if isinstance(instance, CtInstance):
-                doc.update(_solve_ct(instance, args.mode))
-            elif isinstance(instance, RcpInstance):
-                solution, profit = exact.exact_rcp(instance)
-                doc.update({"solution": sorted(solution), "profit": profit})
-            elif isinstance(instance, DkshInstance):
-                solution, weight = exact.exact_dksh(instance)
-                doc.update({"solution": sorted(solution), "weight": weight})
+            if kind == "ct" and args.mode == "approx":
+                result = treecover.cover(instance)
+                b = treecover.bounds(result.trace, instance)
+                solution, value = result.cover, len(result.cover)
+                doc["trace"] = serialize.trace_to_doc(result.trace)
+                doc["bounds"] = {"lower": b.lower, "upper": b.upper, "alpha": b.alpha}
             else:
-                cover_sets, count = exact.exact_bpcc(instance)
-                doc.update(
-                    {"cover": serialize.cover_to_doc(cover_sets), "cardinality": count}
-                )
+                solution, value = exact.optimum(instance)
         except (treecover.InfeasibleInstance, exact.SizeGuardError) as exc:
             doc["error"] = str(exc)
+        else:
+            name, value_name = _SOLVE_FIELDS[kind]
+            doc[name] = serialize.cover_to_doc(solution) if name == "cover" else sorted(solution)
+            doc[value_name] = value
         emit(doc)
     return 0
-
-
-def _solve_ct(instance: CtInstance, mode: str) -> dict:
-    if mode == "exact":
-        cover_sets = exact.exact_ct(instance)
-        return {
-            "cover": serialize.cover_to_doc(cover_sets),
-            "cardinality": len(cover_sets),
-        }
-    result = treecover.cover(instance)
-    b = treecover.bounds(result.trace, instance)
-    return {
-        "cover": serialize.cover_to_doc(result.cover),
-        "cardinality": len(result.cover),
-        "trace": serialize.trace_to_doc(result.trace),
-        "bounds": {"lower": b.lower, "upper": b.upper, "alpha": b.alpha},
-    }
 
 
 def _cmd_bounds(args, emit) -> int:

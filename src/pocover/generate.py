@@ -20,6 +20,8 @@ from .model import (
     InputError,
     RcpInstance,
     SizedOutTree,
+    _check_ints,
+    _check_positive,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -103,10 +105,9 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.kind not in GEN_KINDS:
             raise InputError(f"unknown generator kind {self.kind!r}")
-        if self.n < 1:
-            raise InputError("n must be at least 1")
-        if self.k < 1:
-            raise InputError("k must be at least 1")
+        _check_positive(self.n, "n")
+        _check_positive(self.k, "k")
+        _check_ints((self.seed,), "seed")
         if not isinstance(self.shape, dict):
             raise InputError(f"shape must be an object, not {type(self.shape).__name__}")
         for name, value in self.shape.items():

@@ -43,6 +43,13 @@ def _check_ints(values: Iterable, what: str) -> None:
         raise InputError(f"{what}: expected int, got {names}")
 
 
+def _check_positive(value, what: str) -> None:
+    """``value`` must be a plain ``int`` of at least 1."""
+    _check_ints((value,), what)
+    if value < 1:
+        raise InputError(f"{what} must be at least 1")
+
+
 def _values(values: Iterable, what: str) -> tuple:
     """The list as a tuple, or ``InputError`` naming it when it is not a
     sequence."""
@@ -146,9 +153,7 @@ class CtInstance:
     capacity: int
 
     def __post_init__(self) -> None:
-        _check_ints((self.capacity,), "capacity")
-        if self.capacity < 1:
-            raise InputError("capacity must be at least 1")
+        _check_positive(self.capacity, "capacity")
         for v in range(self.tree.vertex_count):
             if self.tree.size[v] > self.capacity:
                 raise InputError(
@@ -215,9 +220,7 @@ class RcpInstance:
         _check_ints(profit, "profits")
         if min(profit) < 0:
             raise InputError("profits must be nonnegative")
-        _check_ints((budget,), "budget")
-        if budget < 1:
-            raise InputError("budget must be at least 1")
+        _check_positive(budget, "budget")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "profit", profit)
         object.__setattr__(self, "budget", budget)
@@ -260,9 +263,7 @@ class DkshInstance:
         _check_ints(weight, "weights")
         if any(w < 0 for w in weight):
             raise InputError("weights must be nonnegative")
-        _check_ints((budget,), "budget")
-        if budget < 1:
-            raise InputError("budget must be at least 1")
+        _check_positive(budget, "budget")
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "hyperedges", edges)
         object.__setattr__(self, "weight", weight)
@@ -294,9 +295,7 @@ class BpccInstance:
         weight = _values(weight, "weight")
         n = len(weight)
         _check_ints(weight, "item weights")
-        _check_ints((capacity,), "capacity")
-        if capacity < 1:
-            raise InputError("capacity must be at least 1")
+        _check_positive(capacity, "capacity")
         if any(not g for g in groups):
             raise InputError("clusters must be nonempty")
         flat = [v for g in groups for v in g]
@@ -314,6 +313,10 @@ class BpccInstance:
     @property
     def item_count(self) -> int:
         return len(self.weight)
+
+
+# instance type -> the name of its problem kind, as instance files spell it
+KIND = {CtInstance: "ct", RcpInstance: "rcp", DkshInstance: "dksh", BpccInstance: "bpcc"}
 
 
 def closure(graph: Digraph, seed: Iterable[int]) -> frozenset[int]:

@@ -33,6 +33,9 @@ from .model import (
     InputError,
     RcpInstance,
     SizedOutTree,
+    _check_ints,
+    _check_positive,
+    _check_range,
     closure,
     contained_hyperedges,
     is_closed,
@@ -88,6 +91,8 @@ def bpcc_map(
     m = artifact.parameters["m"]
     members = frozenset(config)
     if direction == "lift":
+        _check_ints(members, "configuration")
+        _check_range(bpcc.item_count, members, "configuration")
         touched = {
             i for i, group in enumerate(bpcc.clusters) if members & set(group)
         }
@@ -146,6 +151,7 @@ def dksh_rcp_map(
     m = artifact.parameters["m"]
     copies = m + 1
     members = frozenset(solution)
+    _check_ints(members, "vertex selection")
     if direction == "lift":
         if len(members) > dksh.budget or any(
             not 0 <= v < n for v in members
@@ -211,10 +217,8 @@ def dks_to_urcp(graph: Digraph, k: int, m: int) -> ReductionArtifact:
     profits and budget 2k*m + m.
 
     Ids: copy i of vertex v -> v*2m+i; edge j (sorted order) -> n*2m+j."""
-    if m < 1:
-        raise InputError("copy multiplier m must be at least 1")
-    if k < 1:
-        raise InputError("subgraph budget k must be at least 1")
+    _check_positive(m, "copy multiplier m")
+    _check_positive(k, "subgraph budget k")
     n = graph.vertex_count
     und = undirected_edges(graph)
     width = 2 * m

@@ -18,6 +18,7 @@ from .model import (
     Digraph,
     DkshInstance,
     InputError,
+    KIND,
     RcpInstance,
     SizedOutTree,
     _values,
@@ -29,42 +30,24 @@ Instance = Union[CtInstance, RcpInstance, DkshInstance, BpccInstance]
 
 
 def instance_to_doc(instance: Instance) -> dict[str, Any]:
-    if isinstance(instance, CtInstance):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "ct",
-            "n": instance.tree.vertex_count,
-            "parent": list(instance.tree.parent),
-            "size": list(instance.tree.size),
-            "k": instance.capacity,
-        }
-    if isinstance(instance, RcpInstance):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "rcp",
-            "n": instance.graph.vertex_count,
-            "edges": [list(e) for e in instance.graph.edges],
-            "profit": list(instance.profit),
-            "k": instance.budget,
-        }
-    if isinstance(instance, DkshInstance):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "dksh",
-            "n": instance.vertex_count,
-            "hyperedges": [sorted(e) for e in instance.hyperedges],
-            "weight": list(instance.weight),
-            "k": instance.budget,
-        }
-    if isinstance(instance, BpccInstance):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "bpcc",
-            "clusters": [list(g) for g in instance.clusters],
-            "weight": list(instance.weight),
-            "k": instance.capacity,
-        }
-    raise InputError(f"cannot serialize {type(instance).__name__}")
+    kind = KIND.get(type(instance))
+    if kind == "ct":
+        tree = instance.tree
+        fields = {"n": tree.vertex_count, "parent": list(tree.parent), "size": list(tree.size),
+                  "k": instance.capacity}
+    elif kind == "rcp":
+        graph = instance.graph
+        fields = {"n": graph.vertex_count, "edges": [list(e) for e in graph.edges],
+                  "profit": list(instance.profit), "k": instance.budget}
+    elif kind == "dksh":
+        fields = {"n": instance.vertex_count, "hyperedges": [sorted(e) for e in instance.hyperedges],
+                  "weight": list(instance.weight), "k": instance.budget}
+    elif kind == "bpcc":
+        fields = {"clusters": [list(g) for g in instance.clusters],
+                  "weight": list(instance.weight), "k": instance.capacity}
+    else:
+        raise InputError(f"cannot serialize {type(instance).__name__}")
+    return {"format_version": FORMAT_VERSION, "kind": kind, **fields}
 
 
 def doc_to_instance(doc: dict[str, Any]) -> Instance:

@@ -29,6 +29,7 @@ from .model import (
     CtInstance,
     Digraph,
     DkshInstance,
+    KIND,
     RcpInstance,
     SizedOutTree,
     _check_range,
@@ -250,36 +251,29 @@ def _bpcc_value(bpcc: BpccInstance, packing) -> Optional[int]:
 VALUE = {"rcp": _rcp_value, "dksh": _dksh_value, "ct": _ct_value, "bpcc": _bpcc_value}
 
 
-def _optimum(kind: str, instance) -> tuple:
-    """An optimal solution and its value, from the exact oracle of ``kind``."""
-    if kind == "ct":
-        cover = exact.exact_ct(instance)
-        return cover, len(cover)
-    return getattr(exact, f"exact_{kind}")(instance)
-
-
-# reduction kind -> (source kind, target kind, (lift check, project check),
-# lift, project, extra).  ``lift(artifact, solution)`` carries the source
-# optimum across and ``project`` the target optimum back; ``extra(artifact,
-# solution, lifted, target value, projected)`` gives the trip's own checks, and
-# one that repeats a name is ANDed into that check.  Maps, reductions and
-# oracles are looked up when a trip runs, so a patched module binding is seen.
+# reduction kind -> ((lift check, project check), lift, project, extra).
+# ``lift(artifact, solution)`` carries the source optimum across and
+# ``project`` the target optimum back; ``extra(artifact, solution, lifted,
+# target value, projected)`` gives the trip's own checks, and one that repeats
+# a name is ANDed into that check.  Maps, reductions and oracles (through
+# ``exact.optimum``) are looked up when a trip runs, so a patched module
+# binding is seen.
 TRIPS = {
     "bpcc_to_ct": (
-        "bpcc", "ct", ("lift_covers_target", "project_covers_source"),
+        ("lift_covers_target", "project_covers_source"),
         lambda a, cover: [reductions.bpcc_map(a, c, "lift") for c in cover],
         lambda a, cover: [reductions.bpcc_map(a, c, "project") for c in cover],
         lambda a, *_: [("size_formula", a.target.tree.vertex_count
                         == 1 + len(a.source.clusters) + a.source.item_count)],
     ),
     "dksh_to_rcp": (
-        "dksh", "rcp", ("lift_feasible", "project_feasible"),
+        ("lift_feasible", "project_feasible"),
         lambda a, s: reductions.dksh_rcp_map(a, s, "lift"),
         lambda a, s: reductions.dksh_rcp_map(a, s, "project"),
         lambda a, *_: [("target_dag_bipartite", _dag_and_bipartite(a.target.graph, a.source))],
     ),
     "rcp_to_dksh": (
-        "rcp", "dksh", ("closed_set_keeps_weight", "minimal_projects_feasible"),
+        ("closed_set_keeps_weight", "minimal_projects_feasible"),
         lambda a, s: s,  # a closed set is its own vertex selection
         lambda a, s: reductions.minimalize(a.target, s),
         lambda a, s, lifted, weight, minimal: [
@@ -289,7 +283,7 @@ TRIPS = {
         ],
     ),
     "degree_augment": (
-        "rcp", "rcp", ("lift_feasible", "project_feasible"),
+        ("lift_feasible", "project_feasible"),
         lambda a, s: reductions.augment_map(a, s, "lift"),
         lambda a, s: reductions.augment_map(a, s, "project"),
         lambda a, s, lifted, *_: [
@@ -303,19 +297,19 @@ TRIPS = {
 def _round_trip(kind: str, source) -> RoundtripReport:
     """Reduce, solve both sides exactly and compare the optima, carry each
     optimum across, and run the checks of ``TRIPS[kind]``."""
-    source_kind, target_kind, (lift_name, project_name), lift, project, extra = TRIPS[kind]
+    (lift_name, project_name), lift, project, extra = TRIPS[kind]
     artifact = getattr(reductions, kind)(source)
     try:
-        solution, value = _optimum(source_kind, source)
-        target_solution, target_value = _optimum(target_kind, artifact.target)
+        solution, value = exact.optimum(source)
+        target_solution, target_value = exact.optimum(artifact.target)
     except exact.SizeGuardError as exc:
         return RoundtripReport(kind, fingerprint(source), (), f"oracle guard: {exc}")
     lifted = lift(artifact, solution)
     projected = project(artifact, target_solution)
     checks = {
         "opt_equal": value == target_value,
-        lift_name: VALUE[target_kind](artifact.target, lifted) == value,
-        project_name: VALUE[source_kind](source, projected) == target_value,
+        lift_name: VALUE[KIND[type(artifact.target)]](artifact.target, lifted) == value,
+        project_name: VALUE[KIND[type(source)]](source, projected) == target_value,
     }
     for name, ok in extra(artifact, solution, lifted, target_value, projected):
         checks[name] = checks.get(name, True) and ok

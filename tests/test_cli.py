@@ -323,6 +323,53 @@ def test_solve_prints_the_exact_optimum_of_dksh_and_bpcc_files(tmp_path, capsys)
     ]
 
 
+# What `solve` prints for one file of each kind and a bpcc cluster past the
+# exact guard: only a ct file's line depends on --mode.
+SOLVE_BOTH = (
+    '{"file": "rcp.json", "fingerprint": "d953f21fafe8", "profit": 1, "solution": [0]}\n'
+    '{"file": "dksh.json", "fingerprint": "b12dc6e7b273", "solution": [0, 1, 2], "weight": 1}\n'
+    '{"cardinality": 3, "cover": [[0], [2], [1]], "file": "bpcc.json", "fingerprint": "ee204f69a1b7"}\n'
+    '{"error": "exact clustered bin packing is limited to 18 items per cluster", '
+    '"file": "big.json", "fingerprint": "03f7a98f8f0e"}\n'
+)
+SOLVE_OUT = {
+    "approx": (
+        '{"bounds": {"alpha": 0, "lower": 2, "upper": 4}, "cardinality": 4, '
+        '"cover": [[0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 5]], "file": "ct.json", '
+        '"fingerprint": "fafd47e81ff4", "trace": {"alpha": 0, "anchors": ['
+        '{"anchor": 1, "anchored_size": 4, "anchored_vertices": [2, 3], "emitted_sets": [0, 1], '
+        '"h": 1, "iteration": 1, "leftover_size": 2}, '
+        '{"anchor": 0, "anchored_size": 6, "anchored_vertices": [1, 4, 5], "emitted_sets": [2, 3], '
+        '"h": 0, "iteration": 2, "leftover_size": 0}], "final_residual": null, '
+        '"forced_prefix": [], "top_anchors": [0], "zero_leaf_attachments": {}}}\n'
+    ) + SOLVE_BOTH,
+    "exact": (
+        '{"cardinality": 4, "cover": [[0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 1, 5]], '
+        '"file": "ct.json", "fingerprint": "fafd47e81ff4"}\n'
+    ) + SOLVE_BOTH,
+}
+
+
+@pytest.mark.parametrize("mode", ["approx", "exact"])
+def test_solve_output_bytes_for_every_kind_are_pinned(tmp_path, capsys, monkeypatch, mode):
+    monkeypatch.chdir(tmp_path)  # the lines name the files by relative path
+    docs = {
+        "ct": _doc("ct", n=6, parent=[None, 0, 1, 1, 1, 0], size=[0, 1, 2, 2, 2, 3], k=4),
+        "rcp": RCP,
+        "dksh": DKSH,
+        "bpcc": BPCC,
+        "big": _doc("bpcc", clusters=[list(range(30))], weight=[1] * 30, k=4),
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = ["solve", *[f"{name}.json" for name in docs]]
+    if mode == "exact":
+        argv[1:1] = ["--mode", "exact"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == SOLVE_OUT[mode]
+
+
 def test_bounds_reports_an_infeasible_tree_as_an_error_line(tmp_path, capsys):
     path = _write(tmp_path, _doc("ct", n=2, parent=[None, 0], size=[2, 1], k=2))
     code, out, err = run(capsys, "bounds", str(path))

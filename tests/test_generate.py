@@ -53,6 +53,23 @@ def test_splitmix64_refuses_an_empty_draw(draw, message):
         draw(SplitMix64(1))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n": 0}, "n must be at least 1"),
+        ({"n": 2.0}, "n: expected int, got float"),
+        ({"n": "3"}, "n: expected int, got str"),
+        ({"n": True}, "n: expected int, got bool"),  # would build a 1-vertex tree
+        ({"k": 0}, "k must be at least 1"),
+        ({"seed": 1.5}, "seed: expected int, got float"),
+    ],
+    ids=["n-zero", "n-float", "n-str", "n-bool", "k-zero", "seed-float"],
+)
+def test_genspec_numbers_are_ints_of_at_least_one(fields, message):
+    with pytest.raises(InputError, match=rf"^{message}$"):
+        GenSpec(**{"kind": "out_tree", "n": 3, "k": 2, "seed": 0, **fields})
+
+
 def test_genspec_validation():
     with pytest.raises(InputError):
         GenSpec(kind="nope", n=3, k=2, seed=0)

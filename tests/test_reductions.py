@@ -439,10 +439,25 @@ _BPCC = bpcc_to_ct(BpccInstance([[0, 1], [2]], [2, 3, 3], 4))
         (lambda: bpcc_map(_BPCC, [0, 0.5], "project"), "configuration: expected int, got float"),
         (lambda: bpcc_map(_BPCC, ["a"], "project"), "configuration: expected int, got str"),
         (lambda: ReductionArtifact("bogus", None, None, {}), "unknown reduction kind 'bogus'"),
+        # ids are checked before any lookup: -1 would read the last item
+        (lambda: bpcc_map(_BPCC, [-1], "lift"), "configuration: vertex -1 out of range [0, 3)"),
+        (lambda: bpcc_map(_BPCC, [99], "lift"), "configuration: vertex 99 out of range [0, 3)"),
+        (lambda: bpcc_map(_BPCC, [1.5], "lift"), "configuration: expected int, got float"),
+        (lambda: dksh_rcp_map(dksh_to_rcp(FIG_HYPERGRAPH), [1.0], "lift"),
+         "vertex selection: expected int, got float"),
+        (lambda: dksh_rcp_map(dksh_to_rcp(FIG_HYPERGRAPH), [1.0], "project"),
+         "vertex selection: expected int, got float"),
+        (lambda: dks_to_urcp(Digraph(2, [(0, 1)]), 2, 1.5),
+         "copy multiplier m: expected int, got float"),
+        (lambda: dks_to_urcp(Digraph(2, [(0, 1)]), 2, True),
+         "copy multiplier m: expected int, got bool"),
+        (lambda: dks_to_urcp(Digraph(2, [(0, 1)]), 2, 0), "copy multiplier m must be at least 1"),
     ],
     ids=[
         "augment-unclosed", "augment-direction", "dksh-direction", "augment-wrong-artifact",
         "bpcc-over-capacity", "bpcc-float-member", "bpcc-str-member", "unknown-kind",
+        "bpcc-lift-negative", "bpcc-lift-past-end", "bpcc-lift-float", "dksh-lift-float",
+        "dksh-project-float", "urcp-float-m", "urcp-bool-m", "urcp-zero-m",
     ],
 )
 def test_map_misuse_is_an_input_error_with_its_message(call, message):
