@@ -111,7 +111,9 @@ class GenSpec:
         if not isinstance(self.shape, dict):
             raise InputError(f"shape must be an object, not {type(self.shape).__name__}")
         for name, value in self.shape.items():
-            what, ok = _SHAPE_FIELDS.get(name, ("", lambda v: True))
+            if name not in _SHAPE_FIELDS:
+                raise InputError(f"unknown shape field {name!r}")
+            what, ok = _SHAPE_FIELDS[name]
             if not ok(value):
                 raise InputError(f"shape field {name!r} must be {what}")
 

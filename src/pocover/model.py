@@ -4,19 +4,20 @@ plus the shared queries and validators every solver builds on.
 
 Vertices are dense integers ``0..n-1`` throughout.  All quantities (sizes,
 profits, weights, capacities) are nonnegative integers; nothing in this package
-uses floating point.  The constructors check this: every vertex id, count and
-quantity must be a plain ``int`` (a ``bool`` or ``float`` raises
-``InputError``).  Every type is immutable after construction and may be shared
+uses floating point.  Each input rule has one helper: ``_check_ints`` (plain
+``int``s: a ``bool`` or ``float`` raises ``InputError``), ``_check_positive``,
+``_check_quantities`` (none negative) and ``_check_fits`` (none above the
+capacity).  Every function that takes vertex ids passes them through
+``_check_range``: each must be a plain ``int`` in [0, n), and the first that is
+not is named.  Every type is immutable after construction and may be shared
 freely across workers.  The one derived cache, a ``Digraph``'s condensation,
 depends only on the graph, is filled once on first use, and takes no part in
 comparison or hashing.
 
-A ``Digraph`` runs each of its checks as one whole-list pass in C (``map``,
-``set``, ``min``, ``max``, ``sorted``).  Only when a pass fails does it scan
-item by item, to name the first offender: in input order for an edge that is
-not a pair, in sorted edge order for a self-loop or an endpoint out of range.
-Hyperedge and cluster lists are read the same way, and a row that is not a
-sequence is named too.
+Whole-list checks run in C (``map``, ``set``, ``min``, ``max``, ``sorted``);
+only a failed one scans the list, to name the first offender (for types, the
+types found).  ``Digraph`` and ``validate_configuration`` run ``_check_range``
+only after such a check fails, and a row that is not a sequence is named too.
 """
 
 from __future__ import annotations
@@ -73,9 +74,27 @@ def _rows(rows: Iterable, what: str, shape: str = "a sequence") -> list[tuple]:
         raise
 
 
+def _check_quantities(values: tuple, what: str) -> None:
+    """Every value must be a plain ``int`` of at least 0."""
+    _check_ints(values, what)
+    if min(values, default=0) < 0:
+        raise InputError(f"{what} must be nonnegative")
+
+
+def _check_fits(values: tuple, capacity: int, noun: str, quantity: str) -> None:
+    """No value may exceed ``capacity``; the first that does is named."""
+    if max(values, default=0) > capacity:
+        v = next(v for v, x in enumerate(values) if x > capacity)
+        raise InputError(f"{noun} {v} has {quantity} {values[v]} > capacity {capacity}")
+
+
 def _check_range(n: int, vertices: Iterable[int], what: str) -> None:
+    """Every id must be a plain ``int`` in [0, n); the first that is not is
+    named.  One Python loop: most calls pass one id or a few."""
     for v in vertices:
-        if not (0 <= v < n):
+        if type(v) is not int:
+            raise InputError(f"{what}: expected int, got {type(v).__name__}")
+        if not 0 <= v < n:
             raise InputError(f"{what}: vertex {v} out of range [0, {n})")
 
 
@@ -105,12 +124,8 @@ class SizedOutTree:
         roots = [v for v in range(n) if parent[v] is None]
         if len(roots) != 1:
             raise InputError(f"expected exactly one root, found {len(roots)}")
-        ids = [p for p in parent if p is not None]
-        _check_ints(ids, "parent ids")
-        _check_range(n, ids, "parent")
-        _check_ints(size, "vertex sizes")
-        if any(s < 0 for s in size):
-            raise InputError("vertex sizes must be nonnegative")
+        _check_range(n, [p for p in parent if p is not None], "parent")
+        _check_quantities(size, "vertex sizes")
         kids: list[list[int]] = [[] for _ in range(n)]
         for v, p in enumerate(parent):
             if p is not None:
@@ -154,11 +169,7 @@ class CtInstance:
 
     def __post_init__(self) -> None:
         _check_positive(self.capacity, "capacity")
-        for v in range(self.tree.vertex_count):
-            if self.tree.size[v] > self.capacity:
-                raise InputError(
-                    f"vertex {v} has size {self.tree.size[v]} > capacity {self.capacity}"
-                )
+        _check_fits(self.tree.size, self.capacity, "vertex", "size")
 
 
 @dataclass(frozen=True)
@@ -217,9 +228,7 @@ class RcpInstance:
         profit = _values(profit, "profit")
         if len(profit) != graph.vertex_count:
             raise InputError("profit array length must match vertex count")
-        _check_ints(profit, "profits")
-        if min(profit) < 0:
-            raise InputError("profits must be nonnegative")
+        _check_quantities(profit, "profits")
         _check_positive(budget, "budget")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "profit", profit)
@@ -251,18 +260,14 @@ class DkshInstance:
         if vertex_count < 1:
             raise InputError("hypergraph must have at least one vertex")
         members = _rows(hyperedges, "hyperedge")
-        _check_ints(chain.from_iterable(members), "hyperedge members")
-        edges = tuple(frozenset(e) for e in members)
         weight = _values(weight, "weight")
-        if len(weight) != len(edges):
+        if len(weight) != len(members):
             raise InputError("weight array length must match hyperedge count")
-        for e in edges:
-            if not e:
-                raise InputError("hyperedges must be nonempty")
-            _check_range(vertex_count, e, "hyperedge")
-        _check_ints(weight, "weights")
-        if any(w < 0 for w in weight):
-            raise InputError("weights must be nonnegative")
+        if not all(members):
+            raise InputError("hyperedges must be nonempty")
+        _check_range(vertex_count, chain.from_iterable(members), "hyperedge")
+        edges = tuple(map(frozenset, members))
+        _check_quantities(weight, "weights")
         _check_positive(budget, "budget")
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "hyperedges", edges)
@@ -290,22 +295,16 @@ class BpccInstance:
         capacity: int,
     ):
         members = _rows(clusters, "cluster")
-        _check_ints(chain.from_iterable(members), "cluster members")
-        groups = tuple(tuple(sorted(c)) for c in members)
         weight = _values(weight, "weight")
-        n = len(weight)
-        _check_ints(weight, "item weights")
+        _check_range(len(weight), chain.from_iterable(members), "cluster members")
+        groups = tuple(tuple(sorted(c)) for c in members)
+        _check_quantities(weight, "item weights")
         _check_positive(capacity, "capacity")
-        if any(not g for g in groups):
+        if not all(groups):
             raise InputError("clusters must be nonempty")
-        flat = [v for g in groups for v in g]
-        if sorted(flat) != list(range(n)):
+        if sorted(chain.from_iterable(groups)) != list(range(len(weight))):
             raise InputError("clusters must partition the item ids 0..n-1")
-        if any(w < 0 for w in weight):
-            raise InputError("item weights must be nonnegative")
-        for v in range(n):
-            if weight[v] > capacity:
-                raise InputError(f"item {v} has weight {weight[v]} > capacity {capacity}")
+        _check_fits(weight, capacity, "item", "weight")
         object.__setattr__(self, "clusters", groups)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "capacity", capacity)
@@ -351,14 +350,13 @@ def validate_configuration(instance: CtInstance, members: Iterable[int]) -> Opti
     if not members:
         return None
     # One C-level gather.  A negative id would wrap, so it goes first; then the
-    # type and range checks name a bad member, or else the gather's error stands.
+    # id check names a bad member, or else the gather's error stands.
     get = itemgetter(*members)
     try:
         if min(members) < 0:
             raise IndexError
         parents, sizes = get(tree.parent), get(tree.size)
     except (IndexError, TypeError):
-        _check_ints(members, "configuration")
         _check_range(tree.vertex_count, members, "configuration")
         raise
     if len(members) == 1:  # itemgetter of one index returns the item bare

@@ -33,7 +33,6 @@ from .model import (
     InputError,
     RcpInstance,
     SizedOutTree,
-    _check_ints,
     _check_positive,
     _check_range,
     closure,
@@ -91,20 +90,15 @@ def bpcc_map(
     m = artifact.parameters["m"]
     members = frozenset(config)
     if direction == "lift":
-        _check_ints(members, "configuration")
         _check_range(bpcc.item_count, members, "configuration")
-        touched = {
-            i for i, group in enumerate(bpcc.clusters) if members & set(group)
-        }
+        leaves = {1 + m + v for v in members}
+        # each leaf's parent in the target star is its cluster's vertex
+        touched = {artifact.target.tree.parent[leaf] for leaf in leaves}
         if len(touched) > 1:
             raise InputError("configuration spans more than one cluster")
         if sum(bpcc.weight[v] for v in members) > bpcc.capacity:
             raise InputError("configuration exceeds the packing capacity")
-        return frozenset(
-            {0}
-            | {1 + i for i in touched}
-            | {1 + m + v for v in members}
-        )
+        return frozenset({0} | touched | leaves)
     if direction == "project":
         problem = validate_configuration(artifact.target, members)
         if problem is not None:
@@ -151,11 +145,9 @@ def dksh_rcp_map(
     m = artifact.parameters["m"]
     copies = m + 1
     members = frozenset(solution)
-    _check_ints(members, "vertex selection")
     if direction == "lift":
-        if len(members) > dksh.budget or any(
-            not 0 <= v < n for v in members
-        ):
+        _check_range(n, members, "vertex selection")
+        if len(members) > dksh.budget:
             raise InputError("not a feasible vertex selection")
         inside, _ = contained_hyperedges(dksh, members)
         return frozenset(
@@ -164,6 +156,7 @@ def dksh_rcp_map(
         )
     if direction == "project":
         target: RcpInstance = artifact.target
+        _check_range(target.graph.vertex_count, members, "vertex selection")
         if len(members) > target.budget or not is_closed(target.graph, members):
             raise InputError("not a feasible closed selection")
         return frozenset(

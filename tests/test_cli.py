@@ -791,6 +791,8 @@ def test_impossible_size_range_exits_two_before_drawing(capsys):
         (["solve"], {**BPCC, "k": 0}, "capacity must be at least 1"),
         (["solve"], {**BPCC, "weight": [2, -1, 3]}, "item weights must be nonnegative"),
         (["reduce", "--kind", "dks_to_urcp", "--k", "0"], RCP, "subgraph budget k must be at least 1"),
+        (["gen", "--kind", "out_tree", "--n", "3", "--k", "5", "--shape", '{"size_rnage": [9, 9]}'],
+         None, "unknown shape field 'size_rnage'"),
     ],
 )
 def test_rejected_input_exits_two_with_its_message(tmp_path, capsys, argv, doc, message):

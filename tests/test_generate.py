@@ -70,6 +70,15 @@ def test_genspec_numbers_are_ints_of_at_least_one(fields, message):
         GenSpec(**{"kind": "out_tree", "n": 3, "k": 2, "seed": 0, **fields})
 
 
+def test_genspec_rejects_an_unknown_shape_field_and_keeps_another_kinds():
+    with pytest.raises(InputError, match=r"^unknown shape field 'size_rnage'$"):
+        GenSpec(kind="out_tree", n=3, k=5, seed=0, shape={"size_rnage": [9, 9]})
+    # a field that only another generator kind reads is accepted and ignored
+    plain = generate(GenSpec(kind="out_tree", n=6, k=5, seed=3))
+    other = generate(GenSpec(kind="out_tree", n=6, k=5, seed=3, shape={"num_edges": 2}))
+    assert dumps_instance(other) == dumps_instance(plain)
+
+
 def test_genspec_validation():
     with pytest.raises(InputError):
         GenSpec(kind="nope", n=3, k=2, seed=0)

@@ -20,6 +20,16 @@ from pocover.model import (
     validate_configuration,
     validate_cover,
 )
+from pocover.reductions import (
+    augment_map,
+    bpcc_map,
+    bpcc_to_ct,
+    degree_augment,
+    dksh_rcp_map,
+    dksh_to_rcp,
+    minimalize,
+)
+from pocover.verify import VALUE
 
 
 def test_tree_requires_single_root():
@@ -322,3 +332,99 @@ def test_bpcc_instance_validation():
         BpccInstance([[0, 1]], [1, 5], 2)
     inst = BpccInstance([[0, 2], [1]], [1, 1, 1], 2)
     assert inst.item_count == 3
+
+
+# The id rule: every function that takes vertex ids rejects one that is not a
+# plain int in [0, n), naming it.  Each row: the call on one bad id, the name
+# the message gives, n, and whether the ids go through
+# ``validate_configuration``, whose gather still accepts a bool.
+_TREE = SizedOutTree([None, 0, 0], [0, 3, 3])
+_HYPER = DkshInstance(4, [[0, 1, 2], [2, 3]], [1, 1], 3)
+_PACKING = BpccInstance([[0, 1], [2]], [2, 3, 3], 4)
+_AUGMENTED = degree_augment(RcpInstance(Digraph(2, [(0, 1)]), [1, 5], 1))  # 2 -> 10 vertices
+_LIFTED = dksh_to_rcp(_HYPER)  # 4 -> 14 vertices
+_ID_TAKERS = {
+    "closure": (lambda x: closure(FIG_GRAPH, [x]), "closure seed", 4, False),
+    "is_closed": (lambda x: is_closed(FIG_GRAPH, [x]), "closure seed", 4, False),
+    "contained_hyperedges": (lambda x: contained_hyperedges(_HYPER, [x]), "vertex set", 4, False),
+    "ancestors": (lambda x: _TREE.ancestors(x), "ancestors", 3, False),
+    "validate_configuration": (
+        lambda x: validate_configuration(CtInstance(_TREE, 6), [0, x]), "configuration", 3, True
+    ),
+    "value_rcp": (
+        lambda x: VALUE["rcp"](RcpInstance(FIG_GRAPH, [1] * 4, 2), [x]), "closure seed", 4, False
+    ),
+    "value_dksh": (lambda x: VALUE["dksh"](_HYPER, [x]), "vertex set", 4, False),
+    "value_bpcc": (lambda x: VALUE["bpcc"](_PACKING, [[x]]), "bin", 3, False),
+    "minimalize": (lambda x: minimalize(_HYPER, [x]), "vertex set", 4, False),
+    "augment_lift": (lambda x: augment_map(_AUGMENTED, [x], "lift"), "closure seed", 2, False),
+    "augment_project": (
+        lambda x: augment_map(_AUGMENTED, [x], "project"), "closure seed", 10, False
+    ),
+    "dksh_lift": (lambda x: dksh_rcp_map(_LIFTED, [x], "lift"), "vertex selection", 4, False),
+    "dksh_project": (
+        lambda x: dksh_rcp_map(_LIFTED, [x], "project"), "vertex selection", 14, False
+    ),
+    "bpcc_lift": (
+        lambda x: bpcc_map(bpcc_to_ct(_PACKING), [x], "lift"), "configuration", 3, False
+    ),
+}
+_BAD_IDS = ("float", "bool", "str", "negative", "past_end")
+
+
+def _bad_id(bad, n):
+    """The bad id, and the message after ``<what>: ``."""
+    return {
+        "float": (1.0, "expected int, got float"),
+        "bool": (True, "expected int, got bool"),
+        "str": ("a", "expected int, got str"),
+        "negative": (-1, f"vertex -1 out of range [0, {n})"),
+        "past_end": (n, f"vertex {n} out of range [0, {n})"),
+    }[bad]
+
+
+@pytest.mark.parametrize(
+    "taker, bad",
+    [
+        pytest.param(taker, bad, id=f"{taker}-{bad}")
+        for taker, (_, _, _, gathers) in _ID_TAKERS.items()
+        for bad in _BAD_IDS
+        if not (gathers and bad == "bool")
+    ],
+)
+def test_every_id_taker_rejects_an_id_that_is_not_an_int_in_range(taker, bad):
+    call, what, n, _ = _ID_TAKERS[taker]
+    value, message = _bad_id(bad, n)
+    with pytest.raises(InputError) as info:
+        call(value)
+    assert str(info.value) == f"{what}: {message}"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SizedOutTree([None, 0.0], [1, 1]), "parent: expected int, got float"),
+        (lambda: SizedOutTree([None, True], [1, 1]), "parent: expected int, got bool"),
+        (lambda: SizedOutTree([None, 2], [1, 1]), "parent: vertex 2 out of range [0, 2)"),
+        (lambda: SizedOutTree([None, 0], [1, -1]), "vertex sizes must be nonnegative"),
+        (lambda: CtInstance(SizedOutTree([None, 0, 0], [1, 3, 4]), 2),
+         "vertex 1 has size 3 > capacity 2"),
+        (lambda: DkshInstance(2, [[0, 1.0]], [1], 1), "hyperedge: expected int, got float"),
+        (lambda: DkshInstance(2, [[0], [5]], [1, 1], 1), "hyperedge: vertex 5 out of range [0, 2)"),
+        (lambda: DkshInstance(2, [[0], []], [1, 1], 1), "hyperedges must be nonempty"),
+        (lambda: DkshInstance(2, [[0]], [-1], 1), "weights must be nonnegative"),
+        (lambda: BpccInstance([[0, 1, 2]], [1, 5, 6], 4), "item 1 has weight 5 > capacity 4"),
+        (lambda: BpccInstance([[0], []], [1], 2), "clusters must be nonempty"),
+        (lambda: BpccInstance([[0, 1.0]], [1, 1], 2), "cluster members: expected int, got float"),
+        (lambda: BpccInstance([[0], [2]], [1, 1], 2),
+         "cluster members: vertex 2 out of range [0, 2)"),
+    ],
+)
+def test_constructor_rules_name_the_first_offender(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_a_hypergraph_may_have_no_hyperedges():
+    assert DkshInstance(2, [], [], 1).hyperedges == ()

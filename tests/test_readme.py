@@ -1,13 +1,14 @@
 """The README's "Library" block runs as written against the package root,
 its "Round-trip checks" table names each kind's checks in the order they run,
-and its "Exact-solver guards" section states the limits ``exact`` defines."""
+its "Exact-solver guards" section states the limits ``exact`` defines, and it
+names each generator shape field."""
 
 import re
 from pathlib import Path
 
 import pocover
 from pocover import exact, verify
-from pocover.generate import SplitMix64
+from pocover.generate import _SHAPE_FIELDS, SplitMix64
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -61,3 +62,10 @@ def test_readme_round_trip_table_names_the_checks_in_order():
         report = check(draw(SplitMix64(0), 0))
         assert report.error is None and report.passed
         assert [name for name, _ in report.checks] == table[kind], kind
+
+
+def test_readme_names_exactly_the_shape_fields():
+    text = " ".join(README.read_text().split())
+    start = text.index("gives a known field the wrong type (")
+    listed = re.findall(r"`(\w+)`", text[start : text.index(")", start)])
+    assert sorted(listed) == sorted(_SHAPE_FIELDS)

@@ -436,6 +436,7 @@ _BPCC = bpcc_to_ct(BpccInstance([[0, 1], [2]], [2, 3, 3], 4))
         (lambda: augment_map(_BPCC, {0}, "lift"),
          "artifact is 'bpcc_to_ct', expected 'degree_augment'"),
         (lambda: bpcc_map(_BPCC, [0, 1], "lift"), "configuration exceeds the packing capacity"),
+        (lambda: bpcc_map(_BPCC, [0, 2], "lift"), "configuration spans more than one cluster"),
         (lambda: bpcc_map(_BPCC, [0, 0.5], "project"), "configuration: expected int, got float"),
         (lambda: bpcc_map(_BPCC, ["a"], "project"), "configuration: expected int, got str"),
         (lambda: ReductionArtifact("bogus", None, None, {}), "unknown reduction kind 'bogus'"),
@@ -455,7 +456,7 @@ _BPCC = bpcc_to_ct(BpccInstance([[0, 1], [2]], [2, 3, 3], 4))
     ],
     ids=[
         "augment-unclosed", "augment-direction", "dksh-direction", "augment-wrong-artifact",
-        "bpcc-over-capacity", "bpcc-float-member", "bpcc-str-member", "unknown-kind",
+        "bpcc-over-capacity", "bpcc-two-clusters", "bpcc-float-member", "bpcc-str-member", "unknown-kind",
         "bpcc-lift-negative", "bpcc-lift-past-end", "bpcc-lift-float", "dksh-lift-float",
         "dksh-project-float", "urcp-float-m", "urcp-bool-m", "urcp-zero-m",
     ],
