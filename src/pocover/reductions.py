@@ -9,9 +9,10 @@ ReductionArtifact plus map functions that carry solutions across:
   vertices, enlarged budget)
 * profit selection -> weighted hypergraph selection (one predecessor-closure
   hyperedge per vertex)
-* densest-k-subgraph -> uniform profit selection (cyclic copy groups + edge
-  vertices), plus the search pipeline that recovers an exact densest subgraph
-  from an exact uniform solver
+* densest-k-subgraph -> uniform profit selection (one directed cycle per
+  vertex's copy group + edge vertices fed by copy 0 of each endpoint), plus
+  the search pipeline that recovers an exact densest subgraph from an exact
+  uniform solver
 * degree reduction for profit selection (binary in/out-tree gadgets, every
   degree at most 2)
 
@@ -22,7 +23,6 @@ edge lists are emitted in ascending order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, permutations, product
 from typing import Optional
 
 from .model import (
@@ -205,9 +205,13 @@ def undirected_edges(graph: Digraph) -> list[tuple[int, int]]:
 
 
 def dks_to_urcp(graph: Digraph, k: int, m: int) -> ReductionArtifact:
-    """Replace each vertex by 2m mutually cyclic copies and each undirected
-    edge by an edge-vertex fed by all copies of its endpoints; uniform unit
-    profits and budget 2k*m + m.
+    """Replace each vertex by 2m copies on one directed cycle and each
+    undirected edge by an edge-vertex fed by copy 0 of each endpoint; uniform
+    unit profits and budget 2k*m + m.
+
+    A closed set that holds one copy holds its cycle, and one that holds an
+    edge-vertex holds both endpoint groups, as if each group were a clique
+    fed by every copy: the same closed sets on n*2m + 2|E| arcs.
 
     Ids: copy i of vertex v -> v*2m+i; edge j (sorted order) -> n*2m+j."""
     _check_positive(m, "copy multiplier m")
@@ -215,16 +219,12 @@ def dks_to_urcp(graph: Digraph, k: int, m: int) -> ReductionArtifact:
     n = graph.vertex_count
     und = undirected_edges(graph)
     width = 2 * m
-    arcs: list[tuple[int, int]] = []
-    for v in range(n):
-        arcs += permutations(range(v * width, (v + 1) * width), 2)
-    for j, (u, v) in enumerate(und):
-        feeders = chain(range(u * width, (u + 1) * width), range(v * width, (v + 1) * width))
-        arcs += product(feeders, (n * width + j,))
+    size = n * width + len(und)
+    arcs = [(b + i, b + (i + 1) % width) for b in range(0, n * width, width) for i in range(width)]
+    for j, (u, v) in enumerate(und, n * width):
+        arcs += [(u * width, j), (v * width, j)]
     h_m = 2 * k * m + m
-    target = RcpInstance(
-        Digraph(n * width + len(und), arcs), [1] * (n * width + len(und)), h_m
-    )
+    target = RcpInstance(Digraph(size, arcs), [1] * size, h_m)
     params = {"m": m, "h_m": h_m, "k": k}
     return ReductionArtifact("dks_to_urcp", graph, target, params)
 
@@ -367,15 +367,6 @@ def gadget_vertices(artifact: ReductionArtifact, x: int) -> frozenset[int]:
     return frozenset({x} | set(range(base, base + t - 1)))
 
 
-def _gadget_owners(n: int, t: int) -> list[int]:
-    """``owner[v]`` is the original vertex whose gadget holds ``v``: ``v``
-    itself for ``v < n``, else ``(v - n) // (t - 1)``."""
-    owner = list(range(n))
-    for x in range(n):
-        owner += [x] * (t - 1)
-    return owner
-
-
 def augment_map(
     artifact: ReductionArtifact, solution, direction: str
 ) -> frozenset[int]:
@@ -396,8 +387,9 @@ def augment_map(
     if direction == "project":
         if len(members) > target.budget or not is_closed(target.graph, members):
             raise InputError("not a feasible closed selection")
-        owner = _gadget_owners(rcp.graph.vertex_count, artifact.parameters["t"])
-        return frozenset(owner[v] for v in members)
+        # an original keeps its id; gadget block x starts at n + x*(t-1)
+        n, t = rcp.graph.vertex_count, artifact.parameters["t"]
+        return frozenset(v if v < n else (v - n) // (t - 1) for v in members)
     raise InputError(f"unknown direction {direction!r}")
 
 

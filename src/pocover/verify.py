@@ -387,15 +387,17 @@ def _gadgets_connected(artifact) -> bool:
     graph: Digraph = artifact.target.graph
     n = artifact.source.graph.vertex_count
     t = artifact.parameters["t"]
-    owner = reductions._gadget_owners(n, t)
     for adjacency in (graph.successors, graph.predecessors):
-        seen = [False] * len(owner)
+        seen = [False] * graph.vertex_count
         for x in range(n):
+            # x's gadget is x, seen first, and the block [lo, hi)
+            lo = n + x * (t - 1)
+            hi = lo + t - 1
             seen[x] = True
             found = [x]
             for v in found:  # breadth-first: the loop reads what it appends
                 for w in adjacency[v]:
-                    if not seen[w] and owner[w] == x:
+                    if lo <= w < hi and not seen[w]:
                         seen[w] = True
                         found.append(w)
             # the search stays inside x's gadget, which has t vertices

@@ -495,7 +495,7 @@ REDUCE_DIGESTS = [
     ),
     (
         "dks_to_urcp", ["--kind", "digraph", "--n", "10", "--k", "4", "--seed", "6"], ["--m", "2"],
-        "1fac5d8fffcdcba1f839cef605c699eef1eb097729953b5dd7d1033418bae8cb",
+        "185623dedc6db456e516bf1336472b3178e39e7c5b0bd8c08ef6e2bfb9ac0d08",
     ),
     (
         "degree_augment", ["--kind", "digraph", "--n", "12", "--k", "4", "--seed", "6"], [],

@@ -201,10 +201,11 @@ def test_dks_to_urcp_construction():
     art = dks_to_urcp(Digraph(2, [(0, 1)]), 2, 2)
     rcp = art.target
     assert rcp.graph.vertex_count == 9  # 8 copies + 1 edge-vertex
-    clique_arcs = [e for e in rcp.graph.edges if e[1] < 8]
+    cycle_arcs = [e for e in rcp.graph.edges if e[1] < 8]
     into_edge = [e for e in rcp.graph.edges if e[1] == 8]
-    assert len(clique_arcs) == 2 * (4 * 3)
-    assert len(into_edge) == 8
+    # 2 groups of 4 copies, each one cycle
+    assert cycle_arcs == [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
+    assert into_edge == [(0, 8), (4, 8)]  # copy 0 of each endpoint
     assert rcp.budget == 10  # 2*2*2 + 2
     assert set(rcp.profit) == {1}
     assert art.parameters["h_m"] == 10
@@ -234,8 +235,9 @@ def test_dks_to_urcp_copy_groups_all_or_nothing():
 
 
 def _oracle_dks_to_urcp_graph(graph, m):
-    """The per-arc loops that built dks_to_urcp's target graph before it
-    emitted whole cliques and feeder runs."""
+    """The construction that dks_to_urcp's target had before: a complete
+    digraph on each group of 2m copies, and every copy of both endpoints
+    feeding each edge-vertex, built arc by arc."""
     n = graph.vertex_count
     und = undirected_edges(graph)
     width = 2 * m
@@ -254,6 +256,31 @@ def _oracle_dks_to_urcp_graph(graph, m):
     return Digraph(n * width + len(und), arcs)
 
 
+def _assert_same_closed_sets(target_graph, reference_graph):
+    """The same vertices, condensation (numbering and predecessor sets
+    included) and closure of every vertex: the same closed sets."""
+    from pocover import exact
+
+    assert target_graph.vertex_count == reference_graph.vertex_count
+    assert exact._scc(target_graph)[0::2] == exact._scc(reference_graph)[0::2]
+    for v in range(target_graph.vertex_count):
+        assert closure(target_graph, [v]) == closure(reference_graph, [v])
+
+
+def _same_answer(target, reference_graph):
+    """``exact_rcp`` on the target and on the clique construction with the
+    same profits and budget: the same selection and profit, or the same
+    guard message."""
+    reference = RcpInstance(reference_graph, target.profit, target.budget)
+    answers = []
+    for inst in (target, reference):
+        try:
+            answers.append(exact_rcp(inst))
+        except SizeGuardError as exc:
+            answers.append(str(exc))
+    return answers[0] == answers[1]
+
+
 def test_dks_to_urcp_matches_the_per_arc_builder():
     rng = SplitMix64(18)
     graphs = 0
@@ -264,10 +291,39 @@ def test_dks_to_urcp_matches_the_per_arc_builder():
             graphs += 1
             for m in range(1, 7):
                 expected = _oracle_dks_to_urcp_graph(graph, m)
-                target = dks_to_urcp(graph, 2, m).target.graph
-                assert target.vertex_count == expected.vertex_count
-                assert target.edges == expected.edges
+                target = dks_to_urcp(graph, 2, m).target
+                _assert_same_closed_sets(target.graph, expected)
+                assert _same_answer(target, expected)
     assert graphs == 40
+
+
+def test_dks_to_urcp_answers_match_the_clique_construction():
+    """The 200 ``dks_to_urcp`` targets of exact_rcp's seeded digest corpus,
+    with budgets k = 1..3 and multipliers m = 1, 2."""
+    for seed in range(200):
+        spec = GenSpec("digraph", n=2 + seed % 5, k=1, seed=seed, shape={"edge_density": 0.4})
+        graph = generate(spec).graph
+        m = 1 + seed % 2
+        target = dks_to_urcp(graph, 1 + seed % 3, m).target
+        assert _same_answer(target, _oracle_dks_to_urcp_graph(graph, m))
+
+
+def test_dks_pipeline_at_its_guard():
+    """``roundtrip_dks_pipeline`` passes on seeded 12-vertex digraphs at
+    k = 6, drawn as the round-trip corpus draws them, and every target it
+    solves has n*2m cycle arcs plus two feeders per undirected edge."""
+    from pocover.verify import roundtrip_dks_pipeline
+
+    for seed in range(3):
+        spec = GenSpec("digraph", n=12, k=1, seed=seed, shape={"edge_density": 0.4})
+        graph = generate(spec).graph
+        edges = len(undirected_edges(graph))
+        report = roundtrip_dks_pipeline(graph, 6)
+        assert report.error is None and report.passed, report
+        arcs = [len(dks_to_urcp(graph, 6, m).target.graph.edges) for m in range(1, 16)]
+        assert arcs == [12 * 2 * m + 2 * edges for m in range(1, 16)]
+        if seed == 0:
+            assert sum(arcs) == 4050
 
 
 @pytest.mark.parametrize(
@@ -418,6 +474,31 @@ def test_augment_project_names_the_owner_of_every_member():
             assert augment_map(art, members, "project") == expected
         with pytest.raises(InputError):
             augment_map(art, {size}, "project")
+
+
+def test_augment_project_matches_the_owner_table_on_a_long_path():
+    """On a 300-vertex path through the even vertices and then the odd ones
+    (gadget size 2045, a 613,500-vertex target), ``project`` names the same
+    owners as the per-vertex owner table it once built on every call.  A
+    closed set seeded in an even gadget holds no odd gadget, so an owner off
+    by one either way shows."""
+    n = 300
+    order = [*range(0, n, 2), *range(1, n, 2)]
+    art = degree_augment(RcpInstance(Digraph(n, zip(order, order[1:])), [1] * n, n))
+    t = art.parameters["t"]
+    graph = art.target.graph
+    assert (t, graph.vertex_count) == (2045, n * t)
+    owner = list(range(n))
+    for x in range(n):
+        owner += [x] * (t - 1)
+    base = [n + x * (t - 1) for x in range(n)]
+    # a root, block starts and ends, and the last original, whose closure is
+    # all but the rest of its own gadget
+    for seed in (0, base[2], base[2] + t - 2, base[8] + 1000, base[42], 298, n - 1):
+        members = closure(graph, [seed])
+        projected = augment_map(art, members, "project")
+        assert projected == {owner[v] for v in members}
+        assert projected == set(order[: order.index(owner[seed]) + 1])
 
 
 _AUGMENT = degree_augment(RcpInstance(Digraph(2, [(0, 1)]), [1, 5], 1))
