@@ -769,6 +769,21 @@ def test_impossible_size_range_exits_two_before_drawing(capsys):
     assert err.count("\n") == 1 and err.startswith("pocover: error: shape field 'size_range'")
 
 
+def test_out_tree_attempts_that_cannot_fit_fail_fast(capsys):
+    """Unit sizes fit the root but not a vertex nine levels deep: every
+    attempt stops at the first such vertex, not after drawing 20000 parents
+    and sizes."""
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "gen", "--kind", "out_tree", "--n", "20000", "--k", "10",
+        "--shape", '{"size_range": [1, 1]}',
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "pocover: error: could not satisfy size_range (1, 1) under capacity 10\n"
+
+
 @pytest.mark.parametrize(
     "argv, doc, message",
     [

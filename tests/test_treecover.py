@@ -460,7 +460,7 @@ def test_output_digest_on_seeded_corpus():
                     [b.lower, b.upper, b.alpha],
                 ]
         digest.update(json.dumps(line, sort_keys=True).encode() + b"\n")
-    assert digest.hexdigest() == "140faf72fe3bb1f609d94e36d3f18881646ff5a792d7c0a5dba28d4708c2c618"
+    assert digest.hexdigest() == "61b807949f96ca14247aa5c1c342fa13893e6183d5384756bcc48de14aca1e71"
 
 
 def _random_tree_n100000():
