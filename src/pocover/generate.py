@@ -11,14 +11,22 @@ of one int, where no step of the mix spills into the next lane.  Generators
 that know how many values they draw take them from such blocks through
 ``_Draws``, under ``SplitMix64.randrange``'s own rejection rule, so every
 value is the one a draw per ``next_u64`` call gives.
+
+The out_tree generator reads the blocks without a method call per value.
+With free fan-out vertex v's parent is ``x mod v``, a chunk of them one
+``map``; a size compares its value with one constant per attempt, 2^64 less
+the widest bound, and only a value at or above it takes the exact rejection
+limit.  The values are still those of one-at-a-time draws.
 """
 
 from __future__ import annotations
 
 import math
-import struct
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
+from operator import mod
 from typing import Any
 
 from .model import (
@@ -46,9 +54,9 @@ _CHUNK = 1024
 # Fewer than _FLOOR known draws read the generator one value at a time.
 # Lanes cost less per value from a few values on (0.30 against 0.48 us at 8
 # values, 0.11 against 0.42 us at 1024), but a _Draws costs its set-up and an
-# indirection per draw: with a floor of 16, the small out_tree and bpcc specs
-# of perfbench's oracle_plain set-up lost more (+0.6 ms) than its digraphs
-# gained (-0.5 ms).
+# indirection per draw: with a floor of 16, the small bpcc specs of
+# perfbench's oracle_plain set-up lost more than its digraphs gained.
+# out_tree reads its streams without a _Draws, so it takes lanes at any count.
 _FLOOR = 64
 
 
@@ -59,6 +67,10 @@ def _lanes(values) -> int:
 _ONES = _lanes([1] * _CHUNK)  # 1 in every lane
 _STEPS = _lanes(range(_GAMMA, (_CHUNK + 1) * _GAMMA, _GAMMA))  # lane i: (i + 1) * gamma
 _LOW = _lanes([_MASK64] * _CHUNK)  # the low 64 bits of every lane
+# A block's bytes in the host's order, cast to 64-bit words: the lanes' low
+# words are every other word, from the first on little-endian hosts and from
+# the last one back on big-endian ones.
+_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
 
 
 class GenerationError(ValueError):
@@ -100,7 +112,7 @@ class SplitMix64:
             z = ((z ^ ((z >> 27) & low)) * 0x94D049BB133111EB) & low
             # Bits a shift carries in above a lane's low 64 are never read.
             z ^= z >> 31
-            out += struct.unpack(f"<{2 * lanes}Q", z.to_bytes(16 * lanes, "little"))[::2]
+            out += memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[_LOW_WORDS].tolist()
             self._state = (self._state + lanes * _GAMMA) & _MASK64
         return out
 
@@ -145,9 +157,19 @@ class _Draws:
     randint = SplitMix64.randint
 
     def __init__(self, rng: SplitMix64, count: int):
-        chunks = [_CHUNK] * (count // _CHUNK) + [count % _CHUNK]
-        blocks = chain.from_iterable(map(rng.block, chunks))
-        self.next_u64 = chain(blocks, iter(rng.next_u64, None)).__next__
+        self.next_u64 = _stream(rng, count).__next__
+
+
+def _stream(rng: SplitMix64, count: int):
+    """The values of ``rng`` from its state on: the next ``count`` mixed by
+    ``block`` a chunk at a time as they are reached (one chunk at once),
+    then one ``next_u64`` call per value."""
+    if count <= _CHUNK:
+        # Short streams are most of oracle_plain's set-up: one block, without
+        # the chunk list and the map, made its 348 out_trees 5-10 % faster.
+        return chain(rng.block(count), iter(rng.next_u64, None))
+    chunks = [_CHUNK] * (count // _CHUNK) + [count % _CHUNK]
+    return chain(chain.from_iterable(map(rng.block, chunks)), iter(rng.next_u64, None))
 
 
 def _draws(rng: SplitMix64, count: int) -> SplitMix64 | _Draws:
@@ -201,6 +223,145 @@ class GenSpec:
                 raise InputError(f"shape field {name!r} must be {what}")
 
 
+def _kept(x: int, bound: int, values, log: list, at: int) -> int:
+    """``x``, or the first later value of ``values`` that the rejection rule
+    of ``SplitMix64.randrange`` keeps for ``bound``; each value turned down
+    appends ``at`` to ``log``."""
+    limit = _SPAN - _SPAN % bound
+    while x >= limit:
+        log.append(at)
+        x = next(values)
+    return x
+
+
+def _free_parents(n: int, values, log: list, out: list):
+    """The parents of vertices 1..n - 1 under free fan-out, a chunk at a
+    time: each chunk is added to ``out``, then yielded.  Vertex v's parent is
+    the draw for bound v, ``x mod v``, so a chunk is one C-level ``map``.  A
+    chunk for vertices v0..v1 - 1 whose largest value is below 2^64 - v1
+    holds no value that a bound below v1 turns down; any other chunk takes
+    the exact test value by value."""
+    for v0 in range(1, n, _CHUNK):
+        v1 = min(v0 + _CHUNK, n)
+        chunk = list(islice(values, v1 - v0))
+        if max(chunk) < _SPAN - v1:
+            chunk = list(map(mod, chunk, range(v0, v1)))
+        else:
+            # Values a rejection moves past the chunk come from ``values``.
+            source = chain(chunk, values)
+            chunk = [_kept(next(source), v, source, log, v) % v for v in range(v0, v1)]
+        out += chunk
+        yield chunk
+
+
+def _capped_parents(n: int, max_children: int, values, log: list, out: list):
+    """As ``_free_parents`` when each vertex takes at most ``max_children``
+    children: vertex v's parent is the draw for bound ``len(eligible)``, an
+    index into the earlier vertices with room left, in ascending order.  A
+    bound is below n, so a value below 2^64 - n is kept at once."""
+    safe = _SPAN - n
+    child_count = [0] * n
+    eligible = [0]
+    for v0 in range(1, n, _CHUNK):
+        chunk = []
+        for v, x in zip(range(v0, min(v0 + _CHUNK, n)), values):
+            if x >= safe:
+                x = _kept(x, len(eligible), values, log, v)
+            i = x % len(eligible)
+            p = eligible[i]
+            chunk.append(p)
+            child_count[p] += 1
+            if child_count[p] == max_children:
+                del eligible[i]
+            eligible.append(v)
+        out += chunk
+        yield chunk
+
+
+def _depth_stop(parents, lo: int, k: int) -> int | None:
+    """The first vertex whose depth d has lo * (d + 1) >= k, where the
+    contract's parent pass stops, or None."""
+    if lo:
+        deepest = (k - 1) // lo
+        depth = [0]
+        for v, p in enumerate(parents, 1):
+            d = depth[p] + 1
+            if d >= deepest:
+                return v
+            depth.append(d)
+    return None
+
+
+def _out_tree_attempt(rng: SplitMix64, spec: GenSpec, eager: bool):
+    """One attempt from ``rng``'s state: (the tree or None, the values its
+    draws turned down, counted as the contract makes its draws).
+
+    The parents are drawn a chunk at a time, and the sizes of a chunk's
+    vertices right after it, so an attempt that stops early draws few
+    parents.  The sizes start past the n - 1 parent values and those that
+    parent draws turned down, which only the last chunk settles: the lazy
+    pass (``eager`` False) assumes none, and returns None when one was, for
+    a rerun with every parent drawn first.  An attempt with one chunk of
+    parents has nothing to draw lazily, so it is eager: the sizes read on
+    from the parents' own values.
+
+    One loop finds every stop: a vertex that fails the parent pass's depth
+    rule has every ancestor at ``lo`` or more, so it also finds no room for
+    a size.  Only a stopped attempt walks the depths, to learn whether the
+    contract stopped in its parent pass, and where.  A size's bound is at
+    most ``span``, so a value below 2^64 - span is kept without the exact
+    rejection limit."""
+    n, k = spec.n, spec.k
+    lo, hi = spec.shape.get("size_range", (0, k))
+    max_children = spec.shape.get("max_children")
+    start = rng._state
+    parents: list[int] = []
+    parent_log: list[int] = []
+    size_log: list[int] = []
+    eager = eager or n <= _CHUNK
+    values = _stream(rng, 2 * n - 1 if eager else n - 1)
+    if max_children is None:
+        chunks = _free_parents(n, values, parent_log, parents)
+    else:
+        chunks = _capped_parents(n, max_children, values, parent_log, parents)
+    if eager:
+        chunks = iter([list(chain.from_iterable(chunks))])
+    else:
+        values = _stream(SplitMix64(start + (n - 1) * _GAMMA), n)
+    span = hi - lo + 1
+    safe = _SPAN - span
+    free = k - 1 - hi  # a vertex with at most this above it draws from all of span
+    bound = min(hi, k - 1) - lo + 1
+    x = next(values)
+    if x >= safe:
+        x = _kept(x, bound, values, size_log, 0)
+    size = [lo + x % bound]
+    path = size[:]
+    for p, x in zip(chain.from_iterable(chunks), values):
+        above = path[p]
+        if above <= free:
+            bound = span
+        else:
+            bound = k - lo - above
+            if bound < 1:
+                break
+        if x >= safe:
+            x = _kept(x, bound, values, size_log, len(size))
+        x = lo + x % bound
+        size.append(x)
+        path.append(above + x)
+    else:
+        if parent_log and not eager:
+            return None
+        return SizedOutTree([None, *parents], size), len(parent_log) + len(size_log)
+    stop = _depth_stop(chain(parents[:], chain.from_iterable(chunks)), lo, k)
+    if stop is not None:
+        return None, bisect_right(parent_log, stop)
+    if parent_log and not eager:
+        return None
+    return None, len(parent_log) + len(size_log)
+
+
 def _gen_out_tree(spec: GenSpec, rng: SplitMix64) -> CtInstance:
     """Random out-tree whose root paths all weigh strictly less than k.
 
@@ -213,7 +374,8 @@ def _gen_out_tree(spec: GenSpec, rng: SplitMix64) -> CtInstance:
     even with every size at ``lo``: in the parent pass at once, in the size
     pass as soon as the drawn sizes above it leave no room.  The next attempt
     starts past all 2n - 1 values and the values rejected draws took, so an
-    early stop does not move the stream."""
+    early stop does not move the stream.  ``_out_tree_attempt`` makes the
+    same draws in another order."""
     n, k = spec.n, spec.k
     lo, hi = spec.shape.get("size_range", (0, k))
     max_children = spec.shape.get("max_children")
@@ -226,41 +388,17 @@ def _gen_out_tree(spec: GenSpec, rng: SplitMix64) -> CtInstance:
             f"shape field 'size_range' ({lo}, {hi}) leaves no root size below capacity {k}"
         )
     for _ in range(_RETRIES):
-        start, draws = rng._state, _draws(rng, 2 * n - 1)
-        rejected = draws.rejected
-        parent: list[int | None] = [None]
-        # least[v]: v's root path weight with every size on it at lo.
-        least = [lo] * n
-        child_count = [0] * n
-        # The earlier vertices with room for a child, in ascending order.
-        eligible = [0]
-        for v in range(1, n):
-            i = draws.randrange(len(eligible))
-            p = eligible[i]
-            parent.append(p)
-            least[v] = least[p] + lo
-            if least[v] >= k:
-                break
-            if max_children is not None:
-                child_count[p] += 1
-                if child_count[p] == max_children:
-                    del eligible[i]
-            eligible.append(v)
-        else:
-            depth_budget = [0] * n
-            size = [0] * n
-            for v in range(n):
-                above = 0 if parent[v] is None else depth_budget[parent[v]]
-                top = min(hi, k - 1 - above)
-                if lo > top:
-                    break
-                size[v] = lo + draws.randrange(top - lo + 1)
-                depth_budget[v] = size[v] + above
-            else:
-                return CtInstance(SizedOutTree(parent, size), k)
+        start = rng._state
+        made = _out_tree_attempt(rng, spec, eager=False)
+        if made is None:
+            rng._state = start
+            made = _out_tree_attempt(rng, spec, eager=True)
+        tree, rejected = made
         # Past the 2n - 1 values and those rejected draws took, stopped or not:
         # the state after j values is the start state plus j * gamma.
-        rng._state = (start + (2 * n - 1 + draws.rejected - rejected) * _GAMMA) & _MASK64
+        rng._state = (start + (2 * n - 1 + rejected) * _GAMMA) & _MASK64
+        if tree is not None:
+            return CtInstance(tree, k)
     raise GenerationError(
         f"could not satisfy size_range ({lo}, {hi}) under capacity {k}"
     )

@@ -121,25 +121,33 @@ class SizedOutTree:
             raise InputError("tree must have at least one vertex")
         if len(size) != n:
             raise InputError("parent and size arrays must have equal length")
-        roots = [v for v in range(n) if parent[v] is None]
-        if len(roots) != 1:
-            raise InputError(f"expected exactly one root, found {len(roots)}")
-        _check_range(n, [p for p in parent if p is not None], "parent")
+        roots = parent.count(None)
+        if roots != 1:
+            raise InputError(f"expected exactly one root, found {roots}")
+        root = parent.index(None)
+        # The ids with the root's None replaced by a valid id, checked in C;
+        # _check_range runs only to name the first bad one.
+        ids = list(parent)
+        ids[root] = root
+        if set(map(type, ids)) != {int} or min(ids) < 0 or max(ids) >= n:
+            _check_range(n, [p for p in parent if p is not None], "parent")
         _check_quantities(size, "vertex sizes")
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for v, p in enumerate(parent):
-            if p is not None:
-                kids[p].append(v)
+        # The root lands in a spare last list, dropped after the loop.
+        ids[root] = n
+        kids: list[list[int]] = [[] for _ in range(n + 1)]
+        for v, p in enumerate(ids):
+            kids[p].append(v)
+        kids.pop()
         # BFS from the root; anything unreached sits on a parent cycle.
-        order = [roots[0]]
+        order = [root]
         for u in order:
             order.extend(kids[u])
         if len(order) != n:
             raise InputError("parent links contain a cycle or disconnected vertex")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "root", roots[0])
-        object.__setattr__(self, "children", tuple(tuple(c) for c in kids))
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "children", tuple(map(tuple, kids)))
         object.__setattr__(self, "order", tuple(order))
 
     @property

@@ -1,8 +1,16 @@
 import hashlib
+import math
 
 import pytest
 
-from pocover.generate import GenSpec, GenerationError, SplitMix64, _Draws, generate
+from pocover.generate import (
+    GenSpec,
+    GenerationError,
+    SplitMix64,
+    _Draws,
+    _gen_out_tree,
+    generate,
+)
 from pocover.model import (
     BpccInstance,
     CtInstance,
@@ -244,10 +252,11 @@ def test_bpcc_shape():
     assert all(w <= 4 for w in inst.weight)
 
 
-def _gen_out_tree(spec):
-    """The out_tree generator's attempt contract, from ``next_u64`` alone:
-    the instance, "refused" or "exhausted", and the pass ("parent" or
-    "size") in which each failed attempt stopped.
+def _contract_out_tree(spec, rng):
+    """The out_tree generator's attempt contract, from ``rng.next_u64``
+    alone: the instance, "refused" or "exhausted", and the pass ("parent" or
+    "size") in which each failed attempt stopped.  Leaves ``rng`` where the
+    contract leaves it.
 
     A draw reads values one at a time until one lies below the largest
     multiple of its bound.  An attempt draws n - 1 parents, then n sizes, and
@@ -256,7 +265,6 @@ def _gen_out_tree(spec):
     sizes above leave no room.  A stopped attempt then reads one value per
     draw it did not make, so the next attempt starts past all 2n - 1 draws
     and the values rejected draws took."""
-    rng = SplitMix64(spec.seed)
     n, k = spec.n, spec.k
     lo, hi = spec.shape.get("size_range", (0, k))
     cap = spec.shape.get("max_children")
@@ -274,7 +282,8 @@ def _gen_out_tree(spec):
         made = 0
         parent, depth, kids, room = [None], [0], [0] * n, [0]
         for v in range(1, n):
-            p = room[draw(len(room))]
+            i = draw(len(room))
+            p = room[i]
             made += 1
             parent.append(p)
             depth.append(depth[p] + 1)
@@ -283,7 +292,7 @@ def _gen_out_tree(spec):
                 break
             kids[p] += 1
             if kids[p] == cap:
-                room.remove(p)
+                del room[i]
             room.append(v)
         else:
             size, path = [], []
@@ -314,17 +323,24 @@ def _digest_specs():
                 yield GenSpec("out_tree", n=1 + 3 * seed, k=2 + seed % 9, seed=seed, shape=shape)
 
 
-def _outcome(spec):
-    """What ``generate`` makes of ``spec``: the instance bytes or the error."""
+def _outcome(spec, rng=None):
+    """What the out_tree generator makes of ``spec`` (with ``rng``, or with
+    the spec's seed as ``generate`` runs it): the instance bytes or the
+    error."""
     try:
-        return dumps_instance(generate(spec))
+        if rng is None:
+            return dumps_instance(generate(spec))
+        return dumps_instance(_gen_out_tree(spec, rng))
     except GenerationError as exc:
         return str(exc)
 
 
 def _assert_follows_the_contract(spec):
-    expected, stops = _gen_out_tree(spec)
-    got = _outcome(spec)
+    """The generator's outcome and final state are the contract's."""
+    reference, rng = SplitMix64(spec.seed), SplitMix64(spec.seed)
+    expected, stops = _contract_out_tree(spec, reference)
+    got = _outcome(spec, rng)
+    assert rng._state == reference._state
     if expected == "refused":
         assert "'size_range'" in got or "'max_children'" in got
     elif expected == "exhausted":
@@ -385,9 +401,113 @@ def test_digest_corpus_keeps_its_bytes_outside_the_moved_specs():
     for spec in _digest_specs():
         key = (spec.n, spec.k, spec.seed, spec.shape.get("max_children"))
         if key in _MOVED and spec.shape["size_range"] == (1, 5):
-            assert _gen_out_tree(spec)[1]  # its first attempt failed
+            assert _contract_out_tree(spec, SplitMix64(spec.seed))[1]  # its first attempt failed
             continue
         digest.update(_outcome(spec).encode() + b"\n")
         kept += 1
     assert kept == 232
     assert digest.hexdigest() == "526c711d919f21654b396d072996501fa120533485fef61abfbec8c31d4a7132"
+
+
+@pytest.mark.parametrize("max_children", [None, 3], ids=["free", "capped"])
+@pytest.mark.parametrize("n", [64, 1000, 2500, 10**5])
+@pytest.mark.parametrize("shape", [{"size_range": (1, 60)}, {}], ids=["sizes_1_60", "default"])
+def test_out_tree_follows_the_contract_across_sizes(max_children, n, shape):
+    """Bytes and final state equal the contract's for both fan-outs, from a
+    spec that reads its values one at a time to ones of many chunks."""
+    if max_children is not None:
+        shape = {**shape, "max_children": max_children}
+    made, _ = _assert_follows_the_contract(GenSpec("out_tree", n, 1000, 1, shape))
+    assert made not in ("refused", "exhausted")
+
+
+_TOP = _SPAN - 1  # turned down by every bound that is not a power of two
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = SplitMix64.next_u64
+
+
+def _planted(start, n, parents, sizes):
+    """Stream positions -> values for one attempt that starts at position
+    ``start`` and makes every draw: ``parents[v]`` (and ``sizes[v]``) lists
+    the values vertex v's draw reads, the last one kept; None leaves the
+    stream's own value there.  Every other draw reads one value."""
+    out, at = {}, start
+    for design, vertices in ((parents, range(1, n)), (sizes, range(n))):
+        for v in vertices:
+            for x in design.get(v, [None]):
+                if x is not None:
+                    out[at] = x
+                at += 1
+    return out
+
+
+def _plant(monkeypatch, seed, plants):
+    """Make every SplitMix64 return ``plants[j]`` as value j of the stream
+    from ``seed`` (its own value elsewhere), one at a time and in blocks."""
+    inverse = pow(_GAMMA, -1, _SPAN)
+
+    def next_u64(self):
+        x = _MIX(self)
+        return plants.get(((self._state - seed) * inverse - 1) % _SPAN, x)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", next_u64)
+    monkeypatch.setattr(SplitMix64, "block", lambda self, count: [self.next_u64() for _ in range(count)])
+
+
+def test_out_tree_rejections_in_a_crafted_stream(monkeypatch):
+    """Values at or above the rejection limit, and values between the fast
+    test and the limit, planted at parent and size positions of three
+    attempts: the first stops in the parent pass (with a turned-down parent
+    and sizes after its stop, and sizes the generator read before finding
+    it), the second in the size pass (with a turned-down size after its
+    stop), the third finishes.  Bytes and final state equal the contract's."""
+    n, k, seed = 2500, 1000, 7
+    # lcm(1..40) - 1 is one below a multiple of every bound of size_range
+    # (1, 40), so a size drawn from it is the largest that fits.
+    biggest = math.lcm(*range(1, 41)) - 1
+    # Attempt 1: a chain of 1000 vertices, deeper than the depth rule allows
+    # (lo = 1, k = 1000: depth 999 stops at vertex 999).  Turned down: parents
+    # 3, 500 (twice) and 999 itself, counted; 1000 and 1010, in the stop's
+    # chunk, and 1500, not counted.  The last vertex of the first chunk reads
+    # 2^64 - 1 and keeps it: 1024 is a power of two.
+    first_parents = {v: [v - 1] for v in range(1, 1000)}
+    first_parents.update({3: [_TOP, 2], 500: [_TOP, _TOP, 499], 999: [_TOP, 998], 1024: [_TOP]})
+    first_parents.update({v: [_TOP, None] for v in (1000, 1010, 1500)})
+    first_sizes = {0: [_TOP, None], 5: [_TOP, None], 2000: [_TOP, None]}
+    plants = _planted(0, n, first_parents, first_sizes)
+    second = 2 * n - 1 + 4
+    # Attempt 2: a chain of 100 vertices whose sizes are all the largest that
+    # fit, so vertex 26 finds no room; parent 2499 (the last) and size 10 are
+    # turned down, size 11 reads a value between 2^64 - 40 and the limit
+    # 2^64 - 16, and size 60 is turned down after the stop.
+    second_parents = {v: [v - 1] for v in range(1, 100)}
+    second_parents.update({7: [_TOP, 6], 2499: [_TOP, None]})
+    second_sizes = {v: [biggest] for v in range(100)}
+    second_sizes.update({10: [_TOP, biggest], 11: [_SPAN - 20], 60: [_TOP, biggest]})
+    plants.update(_planted(second, n, second_parents, second_sizes))
+    third = second + 2 * n - 1 + 3
+    # Attempt 3 finishes.  Turned down: parent 7 by a value below 2^64 - 1
+    # (2^64 mod 7 = 2) in a chunk whose largest value it is, parent 1025 (the
+    # first of the second chunk), and size 9 by a value below 2^64 - 1 too.
+    plants.update(_planted(third, n, {7: [_SPAN - 2, None], 1025: [_TOP, None]}, {9: [_SPAN - 10, None]}))
+
+    _plant(monkeypatch, seed, plants)
+    spec = GenSpec("out_tree", n, k, seed, {"size_range": (1, 40)})
+    made, stops = _assert_follows_the_contract(spec)
+    assert isinstance(made, CtInstance)
+    assert stops == ["parent", "size"]
+
+
+def test_capped_out_tree_rejections_in_a_crafted_stream(monkeypatch):
+    """With capped fan-out every parent value at 2^64 - n or above takes the
+    exact test: 2^64 - 1 is turned down unless the number of eligible
+    vertices is a power of two.  Planted in the first chunk, at the last
+    vertex of the first and the last chunk, and at sizes."""
+    n, k, seed = 2500, 1000, 11
+    parents = {v: [_TOP, None] for v in (2, 3, 6, 700, 1024, 2499)}
+    sizes = {v: [_TOP, None] for v in (0, 4, 2400)}
+    _plant(monkeypatch, seed, _planted(0, n, parents, sizes))
+    spec = GenSpec("out_tree", n, k, seed, {"size_range": (1, 40), "max_children": 2})
+    made, stops = _assert_follows_the_contract(spec)
+    assert isinstance(made, CtInstance)
+    assert stops == []

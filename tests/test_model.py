@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import chain
 
 import pytest
@@ -42,6 +43,35 @@ def test_tree_requires_single_root():
 def test_tree_rejects_cycles():
     with pytest.raises(InputError):
         SizedOutTree([None, 2, 1], [0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "parent, message",
+    [
+        ([None, None, 0], "expected exactly one root, found 2"),
+        ([1, 2, 0], "expected exactly one root, found 0"),
+        ([None, "0", 0], "parent: expected int, got str"),
+        ([None, 0.0, 0], "parent: expected int, got float"),
+        ([None, 0, True], "parent: expected int, got bool"),
+        ([None, -1, 0], "parent: vertex -1 out of range [0, 3)"),
+        ([None, 0, 3], "parent: vertex 3 out of range [0, 3)"),
+        ([None, 2, 1], "parent links contain a cycle or disconnected vertex"),
+        # the first offender in id order is named, whatever its fault
+        ([None, 7, "a"], "parent: vertex 7 out of range [0, 3)"),
+        (["a", None, 9], "parent: expected int, got str"),
+        ([1, 0, None], "parent links contain a cycle or disconnected vertex"),
+    ],
+    ids=["two-roots", "no-root", "str", "float", "bool", "negative", "out-of-range", "cycle",
+         "range-before-type", "type-before-range", "root-last-cycle"],
+)
+def test_tree_constructor_messages(parent, message):
+    with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
+        SizedOutTree(parent, [0, 0, 0])
+
+
+def test_tree_with_its_root_anywhere():
+    t = SizedOutTree([2, 2, None, 0], [1, 2, 3, 4])
+    assert (t.root, t.order, t.children) == (2, (2, 0, 1, 3), ((3,), (), (0, 1), ()))
 
 
 def test_tree_rejects_negative_sizes():
