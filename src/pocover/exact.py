@@ -21,7 +21,9 @@ runs, up to a ceiling of 2^20.  Both walks go depth first, keep no per-mask
 table and hold a few ints per frame.  The answer does not depend on which
 one: every walk returns the maximum profit and, among the closed sets within
 the budget that reach it, the one with the lexicographically smallest sorted
-vertex tuple, which ``_precedes`` decides on one int key per set.
+vertex tuple, which ``_precedes`` decides on one int key per set.  The
+component walk cuts a branch by a budget bound on its profit and, at a tie,
+once the best set found provably precedes every set in it.
 
 The tree-covering solver branches only on maximal configurations, and its
 enumeration walks only toward those, cutting each partial set that can no
@@ -402,7 +404,17 @@ def _rcp_component_subsets(
     in that order, each once its predecessors are in, meets every closed set
     exactly once and holds O(c) state.  A branch stops where it would pass
     the budget, or where its profit plus that of every later component and
-    every paying sink is below the best found; ties are still visited.
+    every paying sink is below the best found.
+
+    Two exact cuts at the top of a frame, which covers its own set and
+    every set below, return early.  The budget bound: no set below gains
+    more than the room left times the largest vertex profit, nor, once no
+    later component fits, more than ``worth``.  At a bound equal to the
+    best, the tie cut: every set below holds exactly this frame's vertices
+    under the least vertex v a later component or any sink can add, so if
+    the best set holds the first vertex under v in only one of the two, and
+    this set goes on past it, the best set precedes them all.  A later best
+    has a higher profit or precedes this one, so the cut stays sound.
 
     Walking every component with no sinks meets every closed set.  Walking
     the sources of a two-layered condensation, the best sinks for a source
@@ -431,6 +443,13 @@ def _rcp_component_subsets(
     reach = sum(sink_profit)
     # ahead[i]: the most that components i.. and the sinks can still add
     ahead = [t + reach for t in itertools.accumulate(reversed(gain))][::-1]
+    # smallest[i]: the least size among components i..; spans[i]: the end
+    # bits of components i.., every sink's bit and bit n, so its lowest bit
+    # is the least vertex they can add (n if none)
+    top = max(profit, default=0)
+    smallest = [*itertools.accumulate(reversed(size), min, initial=budget + 1)][::-1]
+    spans = [*itertools.accumulate(reversed(ends), int.__or__,
+                                   initial=sum(sink_bit, 1 << len(profit)))][::-1]
     # opens[i]: (rank bit, need, profit) of the sinks whose need has top bit
     # i; every sink has a predecessor, so its need is nonzero
     opens: list[list[tuple[int, int, int]]] = [[] for _ in groups]
@@ -446,8 +465,21 @@ def _rcp_component_subsets(
         # and profit; enabled: the rank bits of the sinks they enable; worth:
         # total plus every enabled paying sink, a bound on the set's value
         nonlocal best_profit, best_key
+        room = budget - used
+        bound = total + room * top  # on every set at or below this frame
+        if smallest[start] > room:  # no component fits: only sinks can join
+            bound = min(bound, worth)
+        if bound < best_profit:
+            return
+        if bound == best_profit:
+            # the tie cut, on the first vertex in only one of this set and
+            # the best, if it lies below all that this branch can add
+            low = key ^ best_key
+            low &= -low
+            if best_key & low and key > low and low < spans[start] & -spans[start]:
+                return
         if worth >= best_profit:
-            room, value, full, rest = budget - used, total, key, enabled
+            value, full, rest = total, key, enabled
             while rest and room:  # lowest ranks first: paying sinks, then free ones
                 low = rest & -rest
                 rank = low.bit_length() - 1

@@ -536,19 +536,118 @@ def _walk_corpus():
                 yield RcpInstance(graph, profit, budget), walks
 
 
-def test_component_walk_matches_the_table_walk(monkeypatch):
-    """The depth-first component walk returns the table walk's (selection,
-    profit) wherever it runs, over all components and over the sources with
-    the sinks taken greedily."""
+def _compare_component_walks(corpus, monkeypatch) -> dict[str, int]:
+    """Run each (instance, walks) of ``corpus`` through the depth-first and
+    the table component walk, assert they agree, and count the runs."""
     counts = dict.fromkeys(("components", "sources"), 0)
-    for inst, walks in _walk_corpus():
+    for inst, walks in corpus:
         for which in walks:
             got = run_layer_strategy(inst, which)
             with monkeypatch.context() as patch:
                 patch.setattr(exact, "_rcp_component_subsets", _table_component_subsets)
                 assert got == run_layer_strategy(inst, which), (inst, which)
             counts[which] += 1
+    return counts
+
+
+def test_component_walk_matches_the_table_walk(monkeypatch):
+    """The depth-first component walk returns the table walk's (selection,
+    profit) wherever it runs, over all components and over the sources with
+    the sinks taken greedily."""
+    counts = _compare_component_walks(_walk_corpus(), monkeypatch)
     assert sum(counts.values()) >= 3000 and min(counts.values()) >= 800, counts
+
+
+def _tie_corpus():
+    """(instance, walks) where most closed sets that fill the budget tie:
+    seeded digraphs and dags with at most 15 vertices, ``dksh_to_rcp``,
+    ``dks_to_urcp`` and ``degree_augment`` targets and ``_straddling_two_layer``
+    graphs, whose sink ids fall between source ids.  Each graph is taken
+    with unit, constant, 0..1, 0..3 and 0..10 profits, at every budget up to
+    n + 1 on at most 10 vertices and at two drawn budgets above that."""
+    from pocover.reductions import degree_augment, dks_to_urcp, dksh_to_rcp
+
+    graphs = []
+    for seed in range(120):
+        spec = GenSpec(("digraph", "dag")[seed % 2], n=1 + seed % 15, k=1, seed=seed,
+                       shape={"edge_density": (0.1, 0.3, 0.6)[seed % 3]})
+        graphs.append((generate(spec).graph, ("components",)))
+    for seed in range(20):
+        spec = GenSpec("hypergraph", n=2 + seed % 2, k=1, seed=seed,
+                       shape={"num_edges": 1 + seed % 3})
+        graphs.append((dksh_to_rcp(generate(spec)).target.graph, ("sources", "components")))
+    for seed in range(12):
+        spec = GenSpec("digraph", n=2 + seed % 4, k=1, seed=seed, shape={"edge_density": 0.5})
+        graphs.append((dks_to_urcp(generate(spec).graph, 2 + seed % 2, 1 + seed % 3).target.graph,
+                       ("sources", "components")))
+    for seed in range(20):
+        graph = generate(GenSpec("digraph", n=2 + seed % 5, k=1, seed=seed,
+                                 shape={"edge_density": 0.35})).graph
+        source = RcpInstance(graph, [0] * graph.vertex_count, 1)
+        graphs.append((degree_augment(source).target.graph, ("components",)))
+    for seed in range(20):
+        graphs.append((_straddling_two_layer(seed), ("sources",)))
+    rng = SplitMix64(33)
+    for graph, walks in graphs:
+        n = graph.vertex_count
+        if len(exact._scc(graph)[0]) > 12:
+            walks = walks[:1]
+        budgets = range(1, n + 2) if n <= 10 else sorted({1 + rng.randrange(n) for _ in range(2)})
+        for low, high in ((1, 1), (5, 5), (0, 1), (0, 3), (0, 10)):
+            profit = [low + rng.randrange(high - low + 1) for _ in range(n)]
+            for budget in budgets:
+                yield RcpInstance(graph, profit, budget), walks
+
+
+def test_component_walk_cuts_keep_the_table_walk_answers(monkeypatch):
+    """The budget bound and the tie cut of the component walk leave its
+    answers those of the table walk, on inputs where ties are the rule."""
+    counts = _compare_component_walks(_tie_corpus(), monkeypatch)
+    assert sum(counts.values()) >= 3000 and min(counts.values()) >= 800, counts
+
+
+def test_tie_cut_skips_every_tied_set_of_the_dks_pipeline(monkeypatch):
+    """On a 10-vertex, 20-edge graph at k = 4, the six ``dks_to_urcp``
+    targets of ``dks_via_urcp`` fill their budgets with ties.  The walk
+    compared 584 tied sets with ``_precedes`` before the two cuts; now it
+    compares none, and every answer is the table walk's."""
+    from pocover.reductions import dks_via_urcp
+
+    rng = SplitMix64(1)
+    pairs = list(combinations(range(10), 2))
+    arcs = []
+    for index in rng.sample(len(pairs), 20):
+        u, v = pairs[index]
+        way = rng.randrange(3)  # one arc either way, or both
+        arcs += [(u, v)] * (way != 1) + [(v, u)] * (way != 0)
+    graph = Digraph(10, arcs)
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_precedes", lambda key, other: calls.append(key) or _precedes(key, other))
+        got = dks_via_urcp(graph, 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_rcp_component_subsets", _table_component_subsets)
+        assert got == dks_via_urcp(graph, 4)
+    assert [r.m for r in got.records] == [1, 2, 3, 4, 5, 6]
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize(
+    "graph, profit, budget, expected",
+    [
+        # Two-layered, sources walked: sink 4 sits below source 5, so a frame
+        # past source 3 must count the sinks among the vertices it can add.
+        (Digraph(9, [(0, 4), (2, 8)]), [1] * 9, 6, [0, 1, 2, 3, 4, 5]),
+        (Digraph(9, [(0, 4), (2, 8)]), [1] * 9, 8, [*range(8)]),
+        # The best set {0, 1, 2, 3} is found first; {0, 1, 2} ties it and
+        # has no vertex above 3, where the two first differ, so it comes first.
+        (Digraph(4, [(0, 1), (1, 2)]), [1, 1, 1, 0], 4, [0, 1, 2]),
+    ],
+)
+def test_tie_cut_on_hand_built_ties(graph, profit, budget, expected):
+    inst = RcpInstance(graph, profit, budget)
+    assert reference_rcp(inst) == (tuple(expected), sum(profit[v] for v in expected))
+    assert exact_rcp(inst) == (frozenset(expected), sum(profit[v] for v in expected))
 
 
 def test_component_walk_memory_at_the_ceiling():
