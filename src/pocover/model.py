@@ -10,14 +10,18 @@ uses floating point.  Each input rule has one helper: ``_check_ints`` (plain
 capacity).  Every function that takes vertex ids passes them through
 ``_check_range``: each must be a plain ``int`` in [0, n), and the first that is
 not is named.  Every type is immutable after construction and may be shared
-freely across workers.  The one derived cache, a ``Digraph``'s condensation,
-depends only on the graph, is filled once on first use, and takes no part in
-comparison or hashing.
+freely across workers.  The two derived caches, a ``Digraph``'s condensation
+and a ``SizedOutTree``'s padded parent table, each depend only on their graph
+or tree, are filled once on first use, and take no part in comparison or
+hashing.
 
 Whole-list checks run in C (``map``, ``set``, ``min``, ``max``, ``sorted``);
 only a failed one scans the list, to name the first offender (for types, the
-types found).  ``Digraph`` and ``validate_configuration`` run ``_check_range``
-only after such a check fails, and a row that is not a sequence is named too.
+types found).  ``Digraph`` runs ``_check_range`` only after such a check
+fails, and a row that is not a sequence is named too.
+``validate_configuration`` gathers each member's parent from the padded table
+and runs ``_check_range`` only when that gather fails, or when a member's
+parent is missing from the set and some member is out of range.
 """
 
 from __future__ import annotations
@@ -112,6 +116,8 @@ class SizedOutTree:
     root: int = field(init=False, compare=False, repr=False)
     children: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     order: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # the parent table padded for one gather, kept by ``_parent_table``
+    _padded_parent: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __init__(self, parent: Sequence[Optional[int]], size: Sequence[int]):
         parent = tuple(parent)
@@ -350,6 +356,18 @@ def is_closed(graph: Digraph, members: Iterable[int]) -> bool:
     return closure(graph, members) == members
 
 
+def _parent_table(tree: SizedOutTree) -> tuple:
+    """``tree.parent`` with the root as its own parent, followed by n Nones:
+    ids in [n, 2n) and, by wrapping, [-n, 0) read None.  Built on first use
+    and kept on the tree."""
+    if tree._padded_parent is None:
+        table = list(tree.parent)
+        table[tree.root] = tree.root
+        table += [None] * len(table)
+        object.__setattr__(tree, "_padded_parent", tuple(table))
+    return tree._padded_parent
+
+
 def validate_configuration(instance: CtInstance, members: Iterable[int]) -> Optional[str]:
     """Return None if ``members`` is a valid configuration, else a message
     naming the first ancestor-closure violation or the size excess."""
@@ -357,24 +375,29 @@ def validate_configuration(instance: CtInstance, members: Iterable[int]) -> Opti
     members = frozenset(members)
     if not members:
         return None
-    # One C-level gather.  A negative id would wrap, so it goes first; then the
-    # id check names a bad member, or else the gather's error stands.
+    # One C gather from the padded table.  The set holds every entry read iff
+    # it is closed and has no id in [n, 2n) or [-n, 0), which read None.  An
+    # id in [-2n, -n) wraps into the parents but not into ``size``, whose
+    # gather rejects it.  On any failure the id check names a bad member,
+    # or else the gather's error or the closure scan stands.
     get = itemgetter(*members)
     try:
-        if min(members) < 0:
-            raise IndexError
-        parents, sizes = get(tree.parent), get(tree.size)
+        parents = get(_parent_table(tree))
+        if len(members) == 1:  # itemgetter of one index returns the item bare
+            parents = (parents,)
+        closed = members.issuperset(parents)
+        sizes = get(tree.size) if closed else ()
     except (IndexError, TypeError):
         _check_range(tree.vertex_count, members, "configuration")
         raise
-    if len(members) == 1:  # itemgetter of one index returns the item bare
-        parents, sizes = (parents,), (sizes,)
-    if not set(parents).difference(members) <= {None}:  # None: the root's parent
+    if not closed:
+        if None in parents or min(members) < 0:  # some id is out of range
+            _check_range(tree.vertex_count, members, "configuration")
         for v in sorted(members):
             p = tree.parent[v]
             if p is not None and p not in members:
                 return f"vertex {v} is included without its parent {p}"
-    total = sum(sizes)
+    total = sizes if len(members) == 1 else sum(sizes)
     if total > instance.capacity:
         return f"total size {total} exceeds capacity {instance.capacity}"
     return None

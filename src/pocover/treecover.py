@@ -7,10 +7,10 @@ of each anchor are packed next-fit into configurations that all carry the
 anchor's root path; if the packing ends on an odd set, the last set is dropped
 and its vertices are deferred to a later round.  One post-order sweep
 (``anchor_step``) finds every anchor with its round and packed bins, and
-``cover`` joins each bin to the anchor's root path, taken once per anchor, and
-emits the sets round by round.  The recorded run trace supports
-instance-specific lower and upper bounds on the optimal cover cardinality
-whose ratio never exceeds 2.
+``cover`` joins each bin to the anchor's root path, built once per anchor from
+the path of the anchor above it, and emits the sets round by round.  The
+recorded run trace supports instance-specific lower and upper bounds on the
+optimal cover cardinality whose ratio never exceeds 2.
 
 Preprocessing peels three degenerate layers, the last two in one
 children-first walk: root paths heavier than the capacity (no cover exists),
@@ -194,7 +194,7 @@ def anchor_step(
             continue
         room = k - h[v]
         if below[v] > room:
-            live = [c for c in children[v] if active[c]]
+            live = list(filter(active.__getitem__, children[v]))
             masses = [size[c] + below[c] for c in live]
             packed, dropped = next_fit(masses, room)
             bins: list[list[int]] = []
@@ -203,7 +203,7 @@ def anchor_step(
                 for c in q:
                     active[c] = False
                 for u in q:
-                    q.extend([c for c in children[u] if active[c]])
+                    q.extend(filter(active.__getitem__, children[u]))
                 bins.append(q)
             leftover = sum(masses[i] for i in dropped)
             latest[v] += 1  # one round after the latest anchor below it
@@ -222,7 +222,7 @@ def anchor_step(
     if active[tree.root]:
         residual = [tree.root]
         for u in residual:
-            residual.extend([c for c in children[u] if active[c]])
+            residual.extend(filter(active.__getitem__, children[u]))
     return fired, residual
 
 
@@ -254,8 +254,13 @@ def next_fit(masses: list[int], room: int) -> tuple[list[list[int]], list[int]]:
 def cover(instance: CtInstance) -> CoverResult:
     """Compute a feasible cover of at most twice the optimal cardinality.
 
-    Each anchor's sets join its root path to each of its bins; it is a top
-    anchor iff that path holds no other anchor.  The trace records every
+    Each anchor's sets join its root path to each of its bins.  Each anchor
+    walks up only to the nearest anchor above it, and is a top anchor iff
+    the walk passes the root.  As an anchor's ancestors fire later, the paths
+    are built in reverse firing order: each joins the walked segment to the
+    path above, a copy made in C, and is dropped once the last anchor right
+    below it has used it.  No walk is longer than the path it builds, and
+    none recurses, however deep anchors nest.  The trace records every
     anchor, the top anchors, the correction term ``alpha`` of both bounds,
     the forced prefix, and where detached zero-size leaves were re-inserted.
 
@@ -273,13 +278,36 @@ def cover(instance: CtInstance) -> CoverResult:
     top_anchors: list[int] = []
     fired, residual = anchor_step(instance, pre)
     fired.sort(key=lambda f: f[:2])
+    parent = instance.tree.parent
     anchors = {f[1] for f in fired}
-    for iteration, a, bins, anchored_size, leftover_size in fired:
-        path = instance.tree.ancestors(a)
-        if len(path & anchors) == 1:
+    above: dict[int, tuple[Optional[int], list[int]]] = {}
+    waiting = dict.fromkeys(anchors, 0)  # anchors right below, path not yet built
+    for _, a, *_ in fired:
+        segment = [a]
+        u = parent[a]
+        while u is not None and u not in anchors:
+            segment.append(u)
+            u = parent[u]
+        above[a] = (u, segment)
+        if u is None:
             top_anchors.append(a)
+        else:
+            waiting[u] += 1
+    paths: dict[int, frozenset[int]] = {}
+    emitted: dict[int, list[frozenset[int]]] = {}
+    for _, a, bins, *_ in reversed(fired):
+        u, segment = above.pop(a)
+        path = frozenset(segment) if u is None else paths[u].union(segment)
+        emitted[a] = [path.union(q) for q in bins]
+        if waiting[a]:
+            paths[a] = path
+        if u is not None:
+            waiting[u] -= 1
+            if not waiting[u]:
+                del paths[u]
+    for iteration, a, bins, anchored_size, leftover_size in fired:
         first = len(cover_sets)
-        cover_sets.extend([path.union(q) for q in bins])
+        cover_sets.extend(emitted.pop(a))
         records.append(
             AnchorRecord(
                 anchor=a,

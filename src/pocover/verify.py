@@ -84,6 +84,7 @@ class RoundtripReport(_Checked):
 def structural_checks(instance: CtInstance, result_cover, trace: RunTrace) -> list[tuple[str, bool]]:
     """Trace-level properties of one solver run (no oracle involved)."""
     k = instance.capacity
+    size = instance.tree.size
     checks: list[tuple[str, bool]] = []
     checks.append(("cover_valid", validate_cover(instance, result_cover) is None))
     emitted = [len(rec.emitted_sets) for rec in trace.anchors]
@@ -92,7 +93,7 @@ def structural_checks(instance: CtInstance, result_cover, trace: RunTrace) -> li
     pair_ok = True
     for rec in trace.anchors:
         anchored_sizes = [
-            sum(instance.tree.size[v] for v in result_cover[i] & rec.anchored_vertices)
+            sum(map(size.__getitem__, result_cover[i] & rec.anchored_vertices))
             for i in rec.emitted_sets
         ]
         for j in range(0, len(anchored_sizes) - 1, 2):
@@ -113,8 +114,7 @@ def structural_checks(instance: CtInstance, result_cover, trace: RunTrace) -> li
     )
 
     mass_ok = all(
-        rec.anchored_size
-        == sum(instance.tree.size[v] for v in rec.anchored_vertices)
+        rec.anchored_size == sum(map(size.__getitem__, rec.anchored_vertices))
         for rec in trace.anchors
     )
     checks.append(("anchored_mass_consistent", mass_ok))

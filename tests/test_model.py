@@ -337,6 +337,72 @@ def test_validate_cover(two_leaf_instance):
     assert broken is not None and "parent" in broken
 
 
+# One configuration per row, on a tree whose root is vertex 1 (n = 4, k = 6),
+# with what ``validate_configuration`` and ``validate_cover`` of the set alone
+# give: a message, None, or the text of an ``InputError``.  The bad ids sit at
+# the edges of the padded parent table: [n, 2n) and [-n, 0) read None there,
+# [-2n, -n) wraps into the real parents, and the rest fall outside it.
+_ROOTED_AT_1 = ([1, None, 1, 2], [2, 1, 2, 3])
+_CONFIGURATION_ROWS = [
+    ([], None, "vertex 0 is not covered"),
+    ([1], None, "vertex 0 is not covered"),  # the root alone
+    (
+        [0],
+        "vertex 0 is included without its parent 1",
+        "set 0: vertex 0 is included without its parent 1",
+    ),
+    ([1, 0], None, "vertex 2 is not covered"),
+    ([1, 2, 3], None, "vertex 0 is not covered"),  # exactly at capacity
+    ([1, 0, 2, 3], "total size 8 exceeds capacity 6", "set 0: total size 8 exceeds capacity 6"),
+    (
+        [1, 3],
+        "vertex 3 is included without its parent 2",
+        "set 0: vertex 3 is included without its parent 2",
+    ),
+    # not closed and out of range: the id check comes first
+    ([3, 4], InputError("configuration: vertex 4 out of range [0, 4)"), None),
+    ([1, -1], InputError("configuration: vertex -1 out of range [0, 4)"), None),
+    ([1, -4], InputError("configuration: vertex -4 out of range [0, 4)"), None),
+    # -5 reads vertex 3's parent, 2: missing from the first set, present in the second
+    ([1, -5], InputError("configuration: vertex -5 out of range [0, 4)"), None),
+    ([1, 2, -5], InputError("configuration: vertex -5 out of range [0, 4)"), None),
+    ([1, -8], InputError("configuration: vertex -8 out of range [0, 4)"), None),  # reads 1
+    ([1, -9], InputError("configuration: vertex -9 out of range [0, 4)"), None),
+    ([1, 4], InputError("configuration: vertex 4 out of range [0, 4)"), None),
+    ([1, 7], InputError("configuration: vertex 7 out of range [0, 4)"), None),
+    ([1, 8], InputError("configuration: vertex 8 out of range [0, 4)"), None),
+    ([-1], InputError("configuration: vertex -1 out of range [0, 4)"), None),
+    ([4], InputError("configuration: vertex 4 out of range [0, 4)"), None),
+    ([1, 0.5], InputError("configuration: expected int, got float"), None),
+    ([1, "a"], InputError("configuration: expected int, got str"), None),
+    ([1, None], InputError("configuration: expected int, got NoneType"), None),
+    ([None], InputError("configuration: expected int, got NoneType"), None),
+]
+
+
+@pytest.mark.parametrize("members, expected, as_cover", _CONFIGURATION_ROWS)
+def test_validate_configuration_table(members, expected, as_cover):
+    instance = CtInstance(SizedOutTree(*_ROOTED_AT_1), 6)
+    if isinstance(expected, InputError):
+        for check in (validate_configuration, lambda inst, m: validate_cover(inst, [m])):
+            with pytest.raises(InputError, match=rf"^{re.escape(str(expected))}$"):
+                check(instance, members)
+    else:
+        assert validate_configuration(instance, members) == expected
+        assert validate_cover(instance, [members]) == as_cover
+        assert validate_cover(instance, [[1, 0], members, [1, 2, 3]]) == (
+            None if expected is None else f"set 1: {expected}"
+        )
+
+
+def test_the_padded_parent_table_is_built_on_first_use():
+    tree = SizedOutTree(*_ROOTED_AT_1)
+    assert tree._padded_parent is None
+    assert validate_configuration(CtInstance(tree, 6), [1, 2]) is None
+    assert tree._padded_parent == (1, 1, 1, 2, None, None, None, None)
+    assert tree == SizedOutTree(*_ROOTED_AT_1) and hash(tree) == hash(SizedOutTree(*_ROOTED_AT_1))
+
+
 def test_contained_hyperedges_examples():
     h = DkshInstance(4, [[0, 1, 2], [2, 3]], [1, 1], 3)
     assert contained_hyperedges(h, [0, 1, 2]) == ({0}, 1)

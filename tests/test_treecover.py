@@ -513,6 +513,49 @@ def test_oracle_free_checks_at_scale(build):
     assert result.trace.top_anchors == top
 
 
+def _broom(chain, anchors):
+    """A zero-size chain whose last vertex holds ``anchors`` zero-size
+    vertices with three size-4 leaves each; with k = 10 each of those is an
+    anchor with the whole chain above it and no anchor there."""
+    parent, size = [None] + list(range(chain - 1)), [0] * chain
+    for _ in range(anchors):
+        a = len(parent)
+        parent += [chain - 1, a, a, a]
+        size += [0, 4, 4, 4]
+    return CtInstance(SizedOutTree(parent, size), 10)
+
+
+def _root_path_corpus():
+    """(label, builder) pairs, built when their test runs."""
+    for seed in range(20):
+        for size_range, k in (((1, 60), 300), ((0, 12), 40)):
+            spec = GenSpec("out_tree", n=150, k=k, seed=seed, shape={"size_range": size_range})
+            yield f"out_tree-{size_range[0]}-{seed}", lambda spec=spec: generate(spec)
+    for spine in (1, 2, 7, 40):
+        for labeling in (None, spine):
+            tree = _caterpillar(spine, labeling)
+            yield f"caterpillar-{spine}-{labeling}", lambda t=tree: CtInstance(SizedOutTree(*t), 10)
+    yield "broom", lambda: _broom(300, 50)
+    # a 5,000-vertex spine: 2,500 anchors nest all the way down it
+    yield "caterpillar-5000", lambda: CtInstance(SizedOutTree(*_caterpillar(5000)), 10)
+
+
+@pytest.mark.parametrize("build", [pytest.param(b, id=label) for label, b in _root_path_corpus()])
+def test_each_anchor_set_holds_exactly_its_root_path(build):
+    """Every set an anchor emits is its root path, ``tree.ancestors``, joined
+    to the anchored vertices of one bin and any zero leaves placed there; the
+    top anchors are those with no other anchor on that path."""
+    inst = build()
+    result = cover(inst)
+    anchors = {rec.anchor for rec in result.trace.anchors}
+    zero_leaves = set(result.trace.zero_leaf_attachments)
+    for rec in result.trace.anchors:
+        path = inst.tree.ancestors(rec.anchor)
+        for i in rec.emitted_sets:
+            assert result.cover[i] - rec.anchored_vertices - zero_leaves == path
+        assert (rec.anchor in result.trace.top_anchors) == (len(path & anchors) == 1)
+
+
 def test_factor_two_is_tight_at_scale():
     """A zero-size root with leaves [500, 1] x 10^4 and k = 1000.  Pairs of
     500s and sets of a thousand 1s cover it in 5010 sets, which is also
